@@ -24,10 +24,7 @@ use std::collections::HashMap;
 
 use datagrid_catalog::catalog::ReplicaCatalog;
 use datagrid_catalog::name::{LogicalFileName, PhysicalFileName};
-use datagrid_gridftp::error::TransferError;
-use datagrid_gridftp::executor::{
-    ProtocolCosts, RecoveredTransfer, SessionStatus, TransferEndpoint, TransferSession,
-};
+use datagrid_gridftp::executor::{ProtocolCosts, SessionStatus, TransferEndpoint, TransferSession};
 use datagrid_gridftp::instrument::{protocol_label, span_from_outcome};
 use datagrid_gridftp::transfer::{
     DataChannelProtection, PhaseRecord, Protocol, TransferOutcome, TransferRequest,
@@ -54,7 +51,6 @@ use crate::cost::{CostModel, Weights};
 use crate::error::GridError;
 use crate::factors::{rank_by_score, CandidateScore, SystemFactors};
 use crate::policy::{ReplicaSelector, SelectionPolicy};
-use crate::recovery::{RecoveredFetch, RecoveryOptions};
 
 /// Histogram bounds (seconds) for whole transfers — the paper's measured
 /// times span roughly a second to a few hundred seconds.
@@ -142,6 +138,14 @@ impl Default for FetchOptions {
 }
 
 impl FetchOptions {
+    /// A request for `bytes` with these options.
+    pub(crate) fn request(self, bytes: u64) -> TransferRequest {
+        TransferRequest::new(bytes)
+            .with_protocol(self.protocol)
+            .with_parallelism(self.parallelism)
+            .with_protection(self.protection)
+    }
+
     /// Sets the stream count.
     pub fn with_parallelism(mut self, parallelism: u32) -> Self {
         self.parallelism = parallelism;
@@ -182,17 +186,23 @@ impl FetchReport {
     }
 }
 
-/// Outcome of one replica's full retry episode (internal to the recovery
-/// paths): completed, or abandoned with the work totals preserved so a
-/// failover can still account for them.
-enum ReplicaEpisode {
-    Completed(RecoveredTransfer),
-    Abandoned {
-        attempts: u32,
-        delivered: u64,
-        payload_moved: u64,
-        backoff_total: SimDuration,
-    },
+/// A local disk read of `bytes` between `start` and `end`, synthesised as
+/// a one-phase transfer outcome.
+fn local_outcome(bytes: u64, start: SimTime, end: SimTime) -> TransferOutcome {
+    TransferOutcome {
+        payload_bytes: bytes,
+        wire_bytes: 0,
+        streams: 0,
+        stripes: 0,
+        started: start,
+        finished: end,
+        // lint: allow(alloc-in-hot-path) -- one phase record per local read, made when it ends
+        phases: vec![PhaseRecord {
+            name: "data",
+            start,
+            end,
+        }],
+    }
 }
 
 struct PendingHost {
@@ -1060,170 +1070,6 @@ impl DataGrid {
         self.striped_transfer_between(&[src], dst, req)
     }
 
-    /// Runs a transfer between two grid hosts with stall detection,
-    /// seeded exponential-backoff retries and MODE E restart-marker
-    /// resume, while monitoring continues. Each retry of a MODE E
-    /// transfer picks up from the last committed byte; stream-mode
-    /// retries restart from zero. Every stall, backoff pause and resume
-    /// is recorded as `transfer.*` events and metrics.
-    ///
-    /// # Errors
-    ///
-    /// [`GridError::Transfer`] for invalid requests, or wrapping
-    /// [`TransferError::RetriesExhausted`] when every permitted attempt
-    /// stalled.
-    pub fn transfer_between_with_recovery(
-        &mut self,
-        src: HostId,
-        dst: HostId,
-        req: TransferRequest,
-        recovery: &RecoveryOptions,
-    ) -> Result<RecoveredTransfer, GridError> {
-        match self.run_recovery_transfer(src, dst, req, recovery)? {
-            ReplicaEpisode::Completed(rec) => Ok(rec),
-            ReplicaEpisode::Abandoned {
-                attempts,
-                delivered,
-                ..
-            } => Err(GridError::Transfer(TransferError::RetriesExhausted {
-                attempts,
-                delivered,
-            })),
-        }
-    }
-
-    /// One replica's full retry episode: attempts until completion or
-    /// exhaustion, with the per-episode totals kept either way so callers
-    /// (failover) can account for abandoned work.
-    fn run_recovery_transfer(
-        &mut self,
-        src: HostId,
-        dst: HostId,
-        req: TransferRequest,
-        recovery: &RecoveryOptions,
-    ) -> Result<ReplicaEpisode, GridError> {
-        req.validate().map_err(GridError::Transfer)?;
-        let base_offset = req.range.map_or(0, |r| r.offset);
-        let total = req.payload_bytes();
-        let protocol = protocol_label(req.protocol);
-        let src_name = self.hosts[src.index()].name().to_string();
-        let dst_name = self.hosts[dst.index()].name().to_string();
-        let cache_key = (self.node_of(dst), self.node_of(src));
-        let tcp = self.tcp_for(self.node_of(src), self.node_of(dst));
-        let mut committed = 0u64;
-        let mut attempts = 0u32;
-        let mut resumed_from = Vec::new();
-        let mut payload_moved = 0u64;
-        let mut backoff_total = SimDuration::ZERO;
-        loop {
-            let attempt_req = if committed == 0 {
-                req
-            } else {
-                req.with_range(base_offset + committed, total - committed)
-            };
-            let base = self.alloc_session_tokens();
-            let cached = self.control_cached(cache_key);
-            let mut session = TransferSession::new(
-                attempt_req,
-                self.endpoint_for(src),
-                self.endpoint_for(dst),
-                tcp,
-                base,
-            )?
-            .with_costs(self.costs)
-            .with_cached_control(cached)
-            .with_stall_timeout(recovery.stall_timeout);
-            attempts += 1;
-            session.start(&mut self.sim);
-            let failure = loop {
-                let ev = self
-                    .sim
-                    .next_event()
-                    .expect("an active session keeps the queue non-empty");
-                if session.owns(&ev) {
-                    match session.handle(&mut self.sim, &ev) {
-                        SessionStatus::Complete(outcome) => {
-                            self.remember_control(cache_key);
-                            payload_moved += outcome.payload_bytes;
-                            self.record_transfer(&src_name, &dst_name, protocol, &outcome);
-                            return Ok(ReplicaEpisode::Completed(RecoveredTransfer {
-                                outcome,
-                                attempts,
-                                resumed_from,
-                                payload_moved,
-                                backoff_total,
-                            }));
-                        }
-                        SessionStatus::Failed(failure) => break failure,
-                        SessionStatus::InProgress => {}
-                    }
-                } else {
-                    let monitor_tick = matches!(ev.kind, EventKind::TimerFired(TOK_MONITOR));
-                    self.handle_internal(&ev);
-                    if monitor_tick {
-                        let fresh = [self.endpoint_for(src)];
-                        let dst_fresh = self.endpoint_for(dst);
-                        session.refresh_endpoints(&mut self.sim, &fresh, dst_fresh);
-                    }
-                }
-            };
-            committed += failure.restart_offset();
-            payload_moved += failure.delivered_payload;
-            self.obs.metrics_mut().inc("transfer.stalls");
-            self.obs.emit(
-                Event::new(failure.at, "gridftp", "transfer.stall")
-                    .with("src", src_name.as_str())
-                    .with("dst", dst_name.as_str())
-                    .with("attempt", attempts)
-                    .with("delivered", failure.delivered_payload)
-                    .with("committed", committed)
-                    .with("resumable", failure.resumable),
-            );
-            if recovery.retry.exhausted(attempts) {
-                self.obs.metrics_mut().inc("transfer.abandoned");
-                self.obs.emit(
-                    Event::new(self.sim.now(), "gridftp", "transfer.abandoned")
-                        .with("src", src_name.as_str())
-                        .with("dst", dst_name.as_str())
-                        .with("attempts", attempts)
-                        .with("delivered", committed),
-                );
-                return Ok(ReplicaEpisode::Abandoned {
-                    attempts,
-                    delivered: committed,
-                    payload_moved,
-                    backoff_total,
-                });
-            }
-            let pause = recovery.retry.backoff(attempts - 1, &mut self.recovery_rng);
-            backoff_total += pause;
-            // The wait token sits in the session range, so a stale firing
-            // after this loop exits is ignored by `handle_internal`.
-            let wait_token = self.alloc_session_tokens();
-            self.sim.schedule_timer_after(pause, wait_token);
-            loop {
-                let ev = self
-                    .sim
-                    .next_event()
-                    .expect("backoff timer keeps the queue non-empty");
-                if ev.kind == EventKind::TimerFired(wait_token) {
-                    break;
-                }
-                self.handle_internal(&ev);
-            }
-            resumed_from.push(committed);
-            self.obs.metrics_mut().inc("transfer.retries");
-            self.obs.emit(
-                Event::new(self.sim.now(), "gridftp", "transfer.retry")
-                    .with("src", src_name.as_str())
-                    .with("dst", dst_name.as_str())
-                    .with("attempt", attempts + 1)
-                    .with("backoff_secs", pause.as_secs_f64())
-                    .with("resume_offset", committed),
-            );
-        }
-    }
-
     /// Runs a striped transfer from several stripe servers to one
     /// destination host while monitoring continues (GridFTP's striped
     /// transfer feature — the paper's future work item 1).
@@ -1249,24 +1095,31 @@ impl DataGrid {
         let base = self.alloc_session_tokens();
         let cache_key = (self.node_of(dst), self.node_of(*first));
         let cached = sources.len() == 1 && self.control_cached(cache_key);
-        let protocol = protocol_label(req.protocol);
-        let src_name = self.hosts[first.index()].name().to_string();
-        let dst_name = self.hosts[dst.index()].name().to_string();
-        let mut session =
-            TransferSession::striped(req, endpoints, self.endpoint_for(dst), tcp, base)?
-                .with_costs(self.costs)
-                .with_cached_control(cached);
+        let session = TransferSession::striped(req, endpoints, self.endpoint_for(dst), tcp, base)?
+            .with_costs(self.costs)
+            .with_cached_control(cached);
+        let outcome = self.drive_session(session, sources, dst);
+        self.remember_control(cache_key);
+        Ok(outcome)
+    }
+
+    /// Runs a watchdog-free `session` from `sources` to `dst` to
+    /// completion while monitoring continues, then records it.
+    fn drive_session(
+        &mut self,
+        mut session: TransferSession,
+        sources: &[HostId],
+        dst: HostId,
+    ) -> TransferOutcome {
         session.start(&mut self.sim);
-        loop {
+        let outcome = loop {
             let ev = self
                 .sim
                 .next_event()
                 .expect("an active session keeps the queue non-empty");
             if session.owns(&ev) {
                 if let SessionStatus::Complete(outcome) = session.handle(&mut self.sim, &ev) {
-                    self.remember_control(cache_key);
-                    self.record_transfer(&src_name, &dst_name, protocol, &outcome);
-                    return Ok(outcome);
+                    break outcome;
                 }
             } else {
                 let monitor_tick = matches!(ev.kind, EventKind::TimerFired(TOK_MONITOR));
@@ -1282,7 +1135,12 @@ impl DataGrid {
                     session.refresh_endpoints(&mut self.sim, &fresh, dst_fresh);
                 }
             }
-        }
+        };
+        let src_name = self.hosts[sources[0].index()].name().to_string();
+        let dst_name = self.hosts[dst.index()].name().to_string();
+        let protocol = protocol_label(session.request().protocol);
+        self.record_transfer(&src_name, &dst_name, protocol, &outcome);
+        outcome
     }
 
     /// `true` if an authenticated control connection for `key` is cached
@@ -1322,10 +1180,7 @@ impl DataGrid {
     ) -> Result<TransferOutcome, GridError> {
         let tcp = self.tcp_for(self.node_of(src), self.node_of(dst));
         let base = self.alloc_session_tokens();
-        let protocol = protocol_label(req.protocol);
-        let src_name = self.hosts[src.index()].name().to_string();
-        let dst_name = self.hosts[dst.index()].name().to_string();
-        let mut session = TransferSession::new(
+        let session = TransferSession::new(
             req,
             self.endpoint_for(src),
             self.endpoint_for(dst),
@@ -1334,29 +1189,7 @@ impl DataGrid {
         )?
         .with_costs(self.costs)
         .with_control_from(self.node_of(client));
-        session.start(&mut self.sim);
-        let sources = [src];
-        loop {
-            let ev = self
-                .sim
-                .next_event()
-                .expect("an active session keeps the queue non-empty");
-            if session.owns(&ev) {
-                if let SessionStatus::Complete(outcome) = session.handle(&mut self.sim, &ev) {
-                    self.record_transfer(&src_name, &dst_name, protocol, &outcome);
-                    return Ok(outcome);
-                }
-            } else {
-                let monitor_tick = matches!(ev.kind, EventKind::TimerFired(TOK_MONITOR));
-                self.handle_internal(&ev);
-                if monitor_tick {
-                    let fresh: Vec<TransferEndpoint> =
-                        sources.iter().map(|&s| self.endpoint_for(s)).collect();
-                    let dst_fresh = self.endpoint_for(dst);
-                    session.refresh_endpoints(&mut self.sim, &fresh, dst_fresh);
-                }
-            }
-        }
+        Ok(self.drive_session(session, &[src], dst))
     }
 
     /// Creates a new physical replica of `lfn` on `dst_host` by copying
@@ -1539,25 +1372,7 @@ impl DataGrid {
         lfn: &str,
         options: FetchOptions,
     ) -> Result<FetchReport, GridError> {
-        let started = self.sim.now();
-        // Catalog + selection server round trips.
-        let latency = self.service_latency(client);
-        self.advance_to(started + latency);
-        let candidates = self.score_candidates(client, lfn)?;
-        let chosen = self.selector.choose(&candidates);
-        let decision_latency = self.sim.now() - started;
-        self.record_selection(lfn, client, &candidates, chosen, decision_latency, None);
-        let transfer = self.execute_choice(client, lfn, &candidates[chosen], options)?;
-        self.attach_measured(&candidates[chosen].host_name, &transfer);
-        Ok(FetchReport {
-            lfn: LogicalFileName::new(lfn)?,
-            client: self.hosts[client.index()].name().to_string(),
-            local_hit: candidates[chosen].is_local,
-            candidates: candidates.clone(),
-            chosen,
-            transfer,
-            decision_latency,
-        })
+        self.fetch_choosing(client, lfn, None, options)
     }
 
     /// Like [`DataGrid::fetch_with`] but forcing the replica on
@@ -1576,16 +1391,32 @@ impl DataGrid {
         from_host: &str,
         options: FetchOptions,
     ) -> Result<FetchReport, GridError> {
+        self.fetch_choosing(client, lfn, Some(from_host), options)
+    }
+
+    /// The body of [`DataGrid::fetch_with`] and [`DataGrid::fetch_from`]:
+    /// the selector picks the replica, unless `forced` names its host.
+    fn fetch_choosing(
+        &mut self,
+        client: HostId,
+        lfn: &str,
+        forced: Option<&str>,
+        options: FetchOptions,
+    ) -> Result<FetchReport, GridError> {
         let started = self.sim.now();
+        // Catalog + selection server round trips.
         let latency = self.service_latency(client);
         self.advance_to(started + latency);
         let candidates = self.score_candidates(client, lfn)?;
-        let chosen = candidates
-            .iter()
-            .position(|c| c.host_name == from_host)
-            .ok_or_else(|| GridError::UnknownHost {
-                name: from_host.to_string(),
-            })?;
+        let chosen = match forced {
+            None => self.selector.choose(&candidates),
+            Some(host) => candidates
+                .iter()
+                .position(|c| c.host_name == host)
+                .ok_or_else(|| GridError::UnknownHost {
+                    name: host.to_string(),
+                })?,
+        };
         let decision_latency = self.sim.now() - started;
         self.record_selection(
             lfn,
@@ -1593,132 +1424,38 @@ impl DataGrid {
             &candidates,
             chosen,
             decision_latency,
-            Some("forced"),
+            forced.map(|_| "forced"),
         );
-        let transfer = self.execute_choice(client, lfn, &candidates[chosen], options)?;
+        let choice = &candidates[chosen];
+        let name = LogicalFileName::new(lfn)?;
+        let bytes = self
+            .catalog
+            .lookup(&name)
+            .expect("scored candidates imply a registered file")
+            .entry()
+            .size_bytes();
+        self.pending_lfn = Some(lfn.to_string());
+        let transfer = if choice.is_local {
+            let start = self.sim.now();
+            let rate = self.hosts[client.index()].available_disk_read();
+            self.advance_to(start + rate.time_for_bytes(bytes));
+            let outcome = local_outcome(bytes, start, self.sim.now());
+            let name = self.hosts[client.index()].name().to_string();
+            self.record_transfer(&name, &name, "local", &outcome);
+            outcome
+        } else {
+            self.transfer_between(choice.host, client, options.request(bytes))?
+        };
         self.attach_measured(&candidates[chosen].host_name, &transfer);
         Ok(FetchReport {
-            lfn: LogicalFileName::new(lfn)?,
+            lfn: name,
             client: self.hosts[client.index()].name().to_string(),
             local_hit: candidates[chosen].is_local,
-            candidates: candidates.clone(),
+            candidates,
             chosen,
             transfer,
             decision_latency,
         })
-    }
-
-    /// The paper's Fig. 1 scenario hardened for faulty grids: catalog
-    /// query, factor gathering, policy choice, then a GridFTP transfer
-    /// with stall detection and retries — and when the chosen replica's
-    /// retries are exhausted, the site is marked suspect in the catalog,
-    /// candidates are re-ranked (suspects are penalised) and the fetch
-    /// fails over to the next-best replica. The whole episode — faults,
-    /// stalls, backoff pauses, failovers and the final winner — is
-    /// recorded through the observability layer.
-    ///
-    /// # Errors
-    ///
-    /// Catalog errors, [`GridError::NoReplicas`],
-    /// [`GridError::ReplicaOffGrid`], transfer errors, or
-    /// [`GridError::AllReplicasFailed`] when every candidate was tried
-    /// and abandoned.
-    pub fn fetch_with_recovery(
-        &mut self,
-        client: HostId,
-        lfn: &str,
-        options: FetchOptions,
-        recovery: &RecoveryOptions,
-    ) -> Result<RecoveredFetch, GridError> {
-        let started = self.sim.now();
-        let latency = self.service_latency(client);
-        self.advance_to(started + latency);
-        let mut candidates = self.score_candidates(client, lfn)?;
-        let mut chosen = self.selector.choose(&candidates);
-        let mut decision_latency = self.sim.now() - started;
-        self.record_selection(lfn, client, &candidates, chosen, decision_latency, None);
-        let mut failed_over: Vec<String> = Vec::new();
-        let mut attempts = 0u32;
-        let mut payload_moved = 0u64;
-        let mut backoff_total = SimDuration::ZERO;
-        loop {
-            let choice = candidates[chosen].clone();
-            match self.execute_choice_with_recovery(client, lfn, &choice, options, recovery)? {
-                ReplicaEpisode::Completed(rec) => {
-                    attempts += rec.attempts;
-                    payload_moved += rec.payload_moved;
-                    backoff_total += rec.backoff_total;
-                    self.attach_measured(&choice.host_name, &rec.outcome);
-                    return Ok(RecoveredFetch {
-                        report: FetchReport {
-                            lfn: LogicalFileName::new(lfn)?,
-                            client: self.hosts[client.index()].name().to_string(),
-                            local_hit: choice.is_local,
-                            candidates,
-                            chosen,
-                            transfer: rec.outcome,
-                            decision_latency,
-                        },
-                        failed_over,
-                        attempts,
-                        payload_moved,
-                        backoff_total,
-                    });
-                }
-                ReplicaEpisode::Abandoned {
-                    attempts: used,
-                    delivered,
-                    payload_moved: moved,
-                    backoff_total: waited,
-                } => {
-                    attempts += used;
-                    payload_moved += moved;
-                    backoff_total += waited;
-                    self.catalog.mark_suspect(&choice.location);
-                    self.invalidate_scores();
-                    self.obs.metrics_mut().inc("selection.failovers");
-                    self.obs.emit(
-                        Event::new(self.sim.now(), "select", "selection.failover")
-                            .with("lfn", lfn)
-                            .with("abandoned", choice.host_name.as_str())
-                            .with("attempts", used)
-                            .with("delivered", delivered),
-                    );
-                    failed_over.push(choice.host_name.clone());
-                    if failed_over.len() as u64 > u64::from(recovery.max_failovers) {
-                        return Err(GridError::AllReplicasFailed {
-                            lfn: lfn.to_string(),
-                            failed: failed_over,
-                        });
-                    }
-                    // Re-rank: the suspect mark pushes the failed site down,
-                    // and fresh monitoring data may have reshuffled the rest.
-                    let t0 = self.sim.now();
-                    let latency = self.service_latency(client);
-                    self.advance_to(t0 + latency);
-                    candidates = self.score_candidates(client, lfn)?;
-                    decision_latency += self.sim.now() - t0;
-                    let Some(next) = candidates
-                        .iter()
-                        .position(|c| !failed_over.contains(&c.host_name))
-                    else {
-                        return Err(GridError::AllReplicasFailed {
-                            lfn: lfn.to_string(),
-                            failed: failed_over,
-                        });
-                    };
-                    chosen = next;
-                    self.record_selection(
-                        lfn,
-                        client,
-                        &candidates,
-                        chosen,
-                        self.sim.now() - t0,
-                        Some("failover"),
-                    );
-                }
-            }
-        }
     }
 
     /// Suggests a parallel stream count for transfers from `src` to `dst`:
@@ -1759,90 +1496,6 @@ impl DataGrid {
     // ------------------------------------------------------------------
     // internals
     // ------------------------------------------------------------------
-
-    fn execute_choice(
-        &mut self,
-        client: HostId,
-        lfn: &str,
-        choice: &CandidateScore,
-        options: FetchOptions,
-    ) -> Result<TransferOutcome, GridError> {
-        let name = LogicalFileName::new(lfn)?;
-        let bytes = self
-            .catalog
-            .lookup(&name)
-            .expect("scored candidates imply a registered file")
-            .entry()
-            .size_bytes();
-        self.pending_lfn = Some(lfn.to_string());
-        if choice.is_local {
-            return Ok(self.local_read(client, bytes));
-        }
-        let req = TransferRequest::new(bytes)
-            .with_protocol(options.protocol)
-            .with_parallelism(options.parallelism)
-            .with_protection(options.protection);
-        self.transfer_between(choice.host, client, req)
-    }
-
-    fn execute_choice_with_recovery(
-        &mut self,
-        client: HostId,
-        lfn: &str,
-        choice: &CandidateScore,
-        options: FetchOptions,
-        recovery: &RecoveryOptions,
-    ) -> Result<ReplicaEpisode, GridError> {
-        let name = LogicalFileName::new(lfn)?;
-        let bytes = self
-            .catalog
-            .lookup(&name)
-            .expect("scored candidates imply a registered file")
-            .entry()
-            .size_bytes();
-        self.pending_lfn = Some(lfn.to_string());
-        if choice.is_local {
-            let outcome = self.local_read(client, bytes);
-            let payload_moved = outcome.payload_bytes;
-            return Ok(ReplicaEpisode::Completed(RecoveredTransfer {
-                outcome,
-                attempts: 1,
-                resumed_from: Vec::new(),
-                payload_moved,
-                backoff_total: SimDuration::ZERO,
-            }));
-        }
-        let req = TransferRequest::new(bytes)
-            .with_protocol(options.protocol)
-            .with_parallelism(options.parallelism)
-            .with_protection(options.protection);
-        self.run_recovery_transfer(choice.host, client, req, recovery)
-    }
-
-    /// A local disk read, synthesised as a one-phase outcome.
-    fn local_read(&mut self, client: HostId, bytes: u64) -> TransferOutcome {
-        let start = self.sim.now();
-        let rate = self.hosts[client.index()].available_disk_read();
-        let duration = rate.time_for_bytes(bytes);
-        self.advance_to(start + duration);
-        let end = self.sim.now();
-        let outcome = TransferOutcome {
-            payload_bytes: bytes,
-            wire_bytes: 0,
-            streams: 0,
-            stripes: 0,
-            started: start,
-            finished: end,
-            phases: vec![PhaseRecord {
-                name: "data",
-                start,
-                end,
-            }],
-        };
-        let name = self.hosts[client.index()].name().to_string();
-        self.record_transfer(&name, &name, "local", &outcome);
-        outcome
-    }
 
     /// Catalog and selection server query latency for a client: two round
     /// trips to the catalog node plus processing.

@@ -1,18 +1,22 @@
-//! Exhaustive model checking of the replay fetch state machine.
+//! Exhaustive model checking of the fetch state machine.
 //!
-//! [`replay`](super::replay) drives every job through the phases
-//! `Arrival → Deciding → {LocalRead | Transferring}`, with `Backoff`
-//! between retry attempts and suspect-mark/next-best failover between
-//! replicas. The concurrent driver interleaves many such machines over one
+//! Every recovering fetch — a job of
+//! [`replay_concurrent`](super::DataGrid::replay_concurrent) or a blocking
+//! [`fetch_with_recovery`](super::DataGrid::fetch_with_recovery) — walks
+//! the phases `Arrival → Deciding → {LocalRead | Transferring}`, with
+//! `Backoff` between retry attempts and suspect-mark/next-best failover
+//! between replicas, and takes every branch from one pure function,
+//! `step`. The concurrent driver interleaves many such machines over one
 //! simulator, which makes its guarantees ("a replay never hangs and never
 //! leaks flows") hard to see by reading any single trace.
 //!
-//! This module restates one job's machine as an explicit transition
-//! system, abstracting the *timing* nondeterminism away and keeping the
-//! *outcome* nondeterminism (a transfer attempt may complete or stall, the
-//! selector may pick any candidate). [`explore`] then enumerates **every**
-//! reachable state by breadth-first search and proves, for a given policy
-//! configuration:
+//! [`explore`] closes the shipped `step` over an environment that
+//! abstracts the *timing* nondeterminism away and keeps the *outcome*
+//! nondeterminism: in every state it offers every `FetchInput` the
+//! world could produce there (a transfer attempt may complete or stall,
+//! the selector may pick any candidate not yet abandoned) and follows
+//! each transition `step` returns. Breadth-first search over every
+//! reachable state proves, for a given policy configuration:
 //!
 //! * **No stuck client** — every non-terminal state has at least one
 //!   successor, and a terminal state is reachable from every reachable
@@ -25,79 +29,22 @@
 //!   absorbing states, and `Failed` is only reachable after at least one
 //!   abandoned replica.
 //!
-//! The per-phase transition rules are written to mirror
-//! `Driver::{on_control, decide, start_attempt, on_session_event,
-//! abandon_replica}` line for line; the integration suite closes the loop
-//! by replaying exhaustive small-grid configurations (≤3 clients × ≤3
-//! replicas, with and without faults) through the real driver and checking
-//! that every concrete trace lands in a state this model declares
-//! reachable and terminal.
+//! The integration suite closes the loop on the parts `step` does not
+//! cover (timers, sessions, routing) by replaying exhaustive small-grid
+//! configurations (≤3 clients × ≤3 replicas, with and without faults)
+//! through the real driver and checking that every concrete trace lands
+//! in a state this search declares reachable and terminal.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
-/// Phase of one modelled fetch job — the abstraction of
-/// `replay::Phase` plus the two terminal outcomes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum ModelPhase {
-    /// Waiting for the arrival timer.
-    Arrival,
-    /// Waiting for the catalog + selection round trip.
-    Deciding,
-    /// Waiting out a retry backoff pause.
-    Backoff,
-    /// A synthesised local disk read (cannot stall).
-    LocalRead,
-    /// A GridFTP attempt that may complete or stall.
-    Transferring,
-    /// Terminal: full file delivered.
-    Completed,
-    /// Terminal: every candidate the policy allowed was abandoned.
-    Failed,
-}
+use datagrid_gridftp::retry::RetryPolicy;
 
-impl ModelPhase {
-    /// `true` for the two absorbing outcomes.
-    pub fn is_terminal(self) -> bool {
-        matches!(self, ModelPhase::Completed | ModelPhase::Failed)
-    }
-}
+use super::replay::{step, FetchInput, FetchPhase, FetchState};
+use crate::recovery::RecoveryOptions;
 
-/// One state of the modelled job: phase plus the two counters that the
-/// recovery policy branches on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct ModelState {
-    /// Current phase.
-    pub phase: ModelPhase,
-    /// Attempts against the current replica (reset on failover).
-    pub episode_attempts: u32,
-    /// Replicas abandoned so far.
-    pub failed: u32,
-}
-
-impl ModelState {
-    /// The initial state: waiting for the arrival timer.
-    pub fn initial() -> Self {
-        ModelState {
-            phase: ModelPhase::Arrival,
-            episode_attempts: 0,
-            failed: 0,
-        }
-    }
-}
-
-impl fmt::Display for ModelState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{:?}(attempt {}, {} failed over)",
-            self.phase, self.episode_attempts, self.failed
-        )
-    }
-}
-
-/// Policy configuration of the modelled fetch — the knobs `Driver`
-/// branches on.
+/// The environment and policy of a modelled fetch: the candidate set the
+/// selector draws from and the knobs `step` branches on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FetchModel {
     /// Replicas of the requested file (including a local one, if any).
@@ -117,87 +64,27 @@ impl FetchModel {
         self.replicas.saturating_sub(u32::from(self.local_hit))
     }
 
-    /// All successor states of `s` — the union over every way the
-    /// environment (selector choice, transfer outcome) can resolve the
-    /// phase's pending nondeterminism. Empty iff `s` is terminal.
-    pub fn successors(&self, s: ModelState) -> Vec<ModelState> {
-        let mut out = Vec::new();
-        match s.phase {
-            // Arrival timer fires -> the decision round trip begins.
-            ModelPhase::Arrival => out.push(ModelState {
-                phase: ModelPhase::Deciding,
-                ..s
-            }),
-            // `decide()`: pick any candidate not yet abandoned, or fail
-            // the job when none is left. The local candidate (if any) can
-            // never be abandoned, so it stays available on every round.
-            ModelPhase::Deciding => {
-                if self.local_hit {
-                    out.push(ModelState {
-                        phase: ModelPhase::LocalRead,
-                        episode_attempts: 0,
-                        failed: s.failed,
-                    });
-                }
-                if s.failed < self.remote_replicas() {
-                    // `start_attempt` counts the episode's first attempt.
-                    out.push(ModelState {
-                        phase: ModelPhase::Transferring,
-                        episode_attempts: 1,
-                        failed: s.failed,
-                    });
-                }
-                if out.is_empty() {
-                    out.push(ModelState {
-                        phase: ModelPhase::Failed,
-                        ..s
-                    });
-                }
-            }
-            // A local read always delivers.
-            ModelPhase::LocalRead => out.push(ModelState {
-                phase: ModelPhase::Completed,
-                ..s
-            }),
-            // `on_session_event`: the attempt completes, or stalls — and a
-            // stall either backs off for another attempt or abandons the
-            // replica (`RetryPolicy::exhausted`, `abandon_replica`).
-            ModelPhase::Transferring => {
-                out.push(ModelState {
-                    phase: ModelPhase::Completed,
-                    ..s
-                });
-                if s.episode_attempts >= self.max_attempts.max(1) {
-                    let failed = s.failed + 1;
-                    out.push(if failed > self.max_failovers {
-                        ModelState {
-                            phase: ModelPhase::Failed,
-                            episode_attempts: s.episode_attempts,
-                            failed,
-                        }
-                    } else {
-                        ModelState {
-                            phase: ModelPhase::Deciding,
-                            episode_attempts: 0,
-                            failed,
-                        }
-                    });
-                } else {
-                    out.push(ModelState {
-                        phase: ModelPhase::Backoff,
-                        ..s
-                    });
-                }
-            }
-            // Backoff timer fires -> the next attempt at the same replica.
-            ModelPhase::Backoff => out.push(ModelState {
-                phase: ModelPhase::Transferring,
-                episode_attempts: s.episode_attempts + 1,
-                failed: s.failed,
-            }),
-            ModelPhase::Completed | ModelPhase::Failed => {}
+    /// The recovery options the driver runs this policy with.
+    fn recovery(&self) -> RecoveryOptions {
+        RecoveryOptions::default()
+            .with_retry(RetryPolicy::default().with_max_attempts(self.max_attempts))
+            .with_max_failovers(self.max_failovers)
+    }
+
+    /// Whether the world can answer with `input` in state `s`. Only a
+    /// decision's outcome depends on it: the local candidate (if any) is
+    /// never abandoned, a remote one is left while fewer than all remote
+    /// replicas have failed, and a decision comes back empty only when
+    /// neither is. Every other input is always offered; `step` rejects
+    /// the ones its phase cannot receive.
+    fn offers(&self, s: FetchState, input: FetchInput) -> bool {
+        let remote_left = s.failed < self.remote_replicas();
+        match input {
+            FetchInput::ChoseLocal => self.local_hit,
+            FetchInput::ChoseRemote => remote_left,
+            FetchInput::NoCandidate => !self.local_hit && !remote_left,
+            _ => true,
         }
-        out
     }
 }
 
@@ -205,13 +92,13 @@ impl FetchModel {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ModelViolation {
     /// A non-terminal state with no successor: the job is stuck.
-    Deadlock(ModelState),
+    Deadlock(FetchState),
     /// A reachable state from which no terminal state is reachable.
-    TerminalUnreachable(ModelState),
+    TerminalUnreachable(FetchState),
     /// A counter escaped its policy bound.
-    BoundExceeded(ModelState),
+    BoundExceeded(FetchState),
     /// `Failed` was reached without a single abandoned replica.
-    SpuriousFailure(ModelState),
+    SpuriousFailure(FetchState),
 }
 
 impl fmt::Display for ModelViolation {
@@ -242,34 +129,34 @@ pub struct Exploration {
     pub transitions: usize,
     /// Every reachable terminal state — concrete replay outcomes must
     /// land on one of these (matched on phase and failover count).
-    pub terminals: BTreeSet<ModelState>,
+    pub terminals: BTreeSet<FetchState>,
 }
 
 impl Exploration {
-    /// `true` if [`ModelPhase::Completed`] is reachable.
+    /// `true` if [`FetchPhase::Completed`] is reachable.
     pub fn completed_reachable(&self) -> bool {
         self.terminals
             .iter()
-            .any(|s| s.phase == ModelPhase::Completed)
+            .any(|s| s.phase == FetchPhase::Completed)
     }
 
-    /// `true` if [`ModelPhase::Failed`] is reachable.
+    /// `true` if [`FetchPhase::Failed`] is reachable.
     pub fn failed_reachable(&self) -> bool {
-        self.terminals.iter().any(|s| s.phase == ModelPhase::Failed)
+        self.terminals.iter().any(|s| s.phase == FetchPhase::Failed)
     }
 
     /// `true` if the model reaches a terminal of `phase` after exactly
     /// `failovers` abandoned replicas — the projection a concrete
     /// [`ReplayOutcome`](super::replay::ReplayOutcome) can be checked
     /// against.
-    pub fn admits_outcome(&self, phase: ModelPhase, failovers: u32) -> bool {
+    pub fn admits_outcome(&self, phase: FetchPhase, failovers: u32) -> bool {
         self.terminals
             .iter()
             .any(|s| s.phase == phase && s.failed == failovers)
     }
 }
 
-/// Enumerates every state reachable from [`ModelState::initial`] and
+/// Enumerates every state reachable from [`FetchState::initial`] and
 /// checks the no-stuck-client, boundedness and terminal-soundness
 /// properties on each.
 ///
@@ -277,11 +164,12 @@ impl Exploration {
 ///
 /// Returns the first [`ModelViolation`] found, with its witness state.
 pub fn explore(model: &FetchModel) -> Result<Exploration, ModelViolation> {
+    let recovery = model.recovery();
     let failover_bound = model
         .remote_replicas()
         .min(model.max_failovers.saturating_add(1));
-    let mut succs: BTreeMap<ModelState, Vec<ModelState>> = BTreeMap::new();
-    let mut queue = VecDeque::from([ModelState::initial()]);
+    let mut succs: BTreeMap<FetchState, Vec<FetchState>> = BTreeMap::new();
+    let mut queue = VecDeque::from([FetchState::initial()]);
     let mut transitions = 0usize;
     while let Some(s) = queue.pop_front() {
         if succs.contains_key(&s) {
@@ -290,10 +178,15 @@ pub fn explore(model: &FetchModel) -> Result<Exploration, ModelViolation> {
         if s.episode_attempts > model.max_attempts.max(1) || s.failed > failover_bound {
             return Err(ModelViolation::BoundExceeded(s));
         }
-        if s.phase == ModelPhase::Failed && s.failed == 0 {
+        if s.phase == FetchPhase::Failed && s.failed == 0 {
             return Err(ModelViolation::SpuriousFailure(s));
         }
-        let next = model.successors(s);
+        let next: Vec<FetchState> = FetchInput::ALL
+            .into_iter()
+            .filter(|&input| model.offers(s, input))
+            .filter_map(|input| step(s, input, &recovery))
+            .map(|t| t.to)
+            .collect();
         if next.is_empty() && !s.phase.is_terminal() {
             return Err(ModelViolation::Deadlock(s));
         }
@@ -303,13 +196,13 @@ pub fn explore(model: &FetchModel) -> Result<Exploration, ModelViolation> {
     }
     // Backward fixed point: states that can reach a terminal. Everything
     // reachable must be in it (no livelock).
-    let mut can_finish: BTreeSet<ModelState> = succs
+    let mut can_finish: BTreeSet<FetchState> = succs
         .keys()
         .copied()
         .filter(|s| s.phase.is_terminal())
         .collect();
     loop {
-        let grown: Vec<ModelState> = succs
+        let grown: Vec<FetchState> = succs
             .iter()
             .filter(|(s, next)| {
                 !can_finish.contains(s) && next.iter().any(|n| can_finish.contains(n))
@@ -426,10 +319,10 @@ mod tests {
     /// real table, so we emulate it by checking the violation display).
     #[test]
     fn violations_render_their_witness() {
-        let v = ModelViolation::Deadlock(ModelState::initial());
+        let v = ModelViolation::Deadlock(FetchState::initial());
         assert!(v.to_string().contains("Arrival"));
-        let v = ModelViolation::TerminalUnreachable(ModelState {
-            phase: ModelPhase::Backoff,
+        let v = ModelViolation::TerminalUnreachable(FetchState {
+            phase: FetchPhase::Backoff,
             episode_attempts: 1,
             failed: 0,
         });

@@ -1,12 +1,5 @@
-//! Concurrent multi-client fetch replay.
-//!
-//! The blocking fetch paths ([`DataGrid::fetch_with`],
-//! [`DataGrid::fetch_with_recovery`]) drive one transfer at a time: the
-//! caller's event loop owns the simulator until the fetch resolves, so two
-//! fetches never share the wire. That is exactly the paper's Table 1
-//! setting — and exactly *not* a production grid, where every selection
-//! decision is made while other clients' transfers are already consuming
-//! the links it is scoring.
+//! The fetch state machine: concurrent multi-client replay, and the
+//! blocking recovering fetch as a replay of one job.
 //!
 //! [`DataGrid::replay_concurrent`] replays a whole workload — N clients
 //! with seeded arrival times — against **one shared simulator**. Each job
@@ -14,10 +7,22 @@
 //! (arrival → catalog/selection latency → decision → GridFTP transfer
 //! with stall detection, seeded backoff retries, suspect marking and
 //! next-best failover), and all in-flight transfers contend for bandwidth
-//! in the same max-min allocation. Everything the blocking paths record —
+//! in the same max-min allocation. Everything a fetch records —
 //! `selection.decision` audit entries, `transfer.*` spans and metrics,
-//! `selection.failover` events — is recorded here too, interleaved in
+//! `selection.failover` events — is recorded here, interleaved in
 //! simulated-time order.
+//!
+//! [`DataGrid::fetch_with_recovery`] is the paper's Table 1 setting: the
+//! caller's event loop owns the simulator until its one fetch resolves.
+//! It runs the same driver with a single job, so a blocking fetch and a
+//! replayed one share every line of recovery code.
+//!
+//! The machine's branch points — what a decision yielded, whether an
+//! attempt completed or stalled, whether the replica's retries are
+//! exhausted, whether the failover cap is reached — are taken in one pure
+//! function, `step`. The driver carries out the transitions it returns,
+//! and [`explore`](super::modelcheck::explore) enumerates the same
+//! function exhaustively.
 //!
 //! Determinism: the replay consumes randomness only through the grid's
 //! own seeded sources (selector, backoff jitter, background traffic), and
@@ -25,20 +30,21 @@
 //! runs from the same seed produce byte-identical event logs.
 
 use std::collections::HashMap;
+use std::fmt;
 
 use datagrid_catalog::name::LogicalFileName;
 use datagrid_gridftp::executor::{SessionStatus, TransferSession};
 use datagrid_gridftp::instrument::protocol_label;
-use datagrid_gridftp::transfer::{PhaseRecord, TransferOutcome, TransferRequest};
+use datagrid_gridftp::transfer::TransferOutcome;
 use datagrid_obs::{Event, PhaseProfiler};
 use datagrid_simnet::engine::{EventKind, FlowId};
 use datagrid_simnet::time::{SimDuration, SimTime};
 use datagrid_sysmon::host::HostId;
 
-use super::{DataGrid, FetchOptions, SESSION_TOKEN_BASE, TOK_MONITOR};
+use super::{local_outcome, DataGrid, FetchOptions, FetchReport, SESSION_TOKEN_BASE, TOK_MONITOR};
 use crate::error::GridError;
 use crate::factors::CandidateScore;
-use crate::recovery::RecoveryOptions;
+use crate::recovery::{RecoveredFetch, RecoveryOptions};
 
 /// One scheduled fetch in a replay workload.
 #[derive(Debug, Clone, PartialEq)]
@@ -139,7 +145,174 @@ impl ReplayReport {
     }
 }
 
-/// What a job is waiting for.
+/// Phase of one fetch, without the data the driver keeps for it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum FetchPhase {
+    /// Waiting for the arrival timer.
+    Arrival,
+    /// Waiting for the catalog + selection round trip.
+    Deciding,
+    /// Waiting out a retry backoff pause.
+    Backoff,
+    /// A synthesised local disk read (cannot stall).
+    LocalRead,
+    /// A GridFTP attempt that may complete or stall.
+    Transferring,
+    /// Terminal: full file delivered.
+    Completed,
+    /// Terminal: every candidate the policy allowed was abandoned.
+    Failed,
+}
+
+impl FetchPhase {
+    /// `true` for the two absorbing outcomes.
+    pub fn is_terminal(self) -> bool {
+        matches!(self, FetchPhase::Completed | FetchPhase::Failed)
+    }
+}
+
+/// The part of a fetch's state the recovery policy branches on: its phase
+/// and two counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct FetchState {
+    /// Current phase.
+    pub phase: FetchPhase,
+    /// Attempts against the current replica (reset on failover).
+    pub episode_attempts: u32,
+    /// Replicas abandoned so far.
+    pub failed: u32,
+}
+
+impl FetchState {
+    /// The initial state: waiting for the arrival timer.
+    pub fn initial() -> Self {
+        FetchState {
+            phase: FetchPhase::Arrival,
+            episode_attempts: 0,
+            failed: 0,
+        }
+    }
+}
+
+impl fmt::Display for FetchState {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{:?}(attempt {}, {} failed over)",
+            self.phase, self.episode_attempts, self.failed
+        )
+    }
+}
+
+/// What ends a fetch's wait: the answer the world gives to its phase.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FetchInput {
+    /// The arrival timer fired.
+    Arrived,
+    /// The decision picked the client's own copy.
+    ChoseLocal,
+    /// The decision picked a remote replica.
+    ChoseRemote,
+    /// The decision found every candidate abandoned.
+    NoCandidate,
+    /// The local read or GridFTP attempt delivered the rest of the file.
+    Delivered,
+    /// The stall watchdog ended the GridFTP attempt.
+    Stalled,
+    /// The backoff pause ended.
+    BackoffElapsed,
+}
+
+impl FetchInput {
+    /// Every input, for exhaustive enumeration.
+    pub(crate) const ALL: [FetchInput; 7] = [
+        FetchInput::Arrived,
+        FetchInput::ChoseLocal,
+        FetchInput::ChoseRemote,
+        FetchInput::NoCandidate,
+        FetchInput::Delivered,
+        FetchInput::Stalled,
+        FetchInput::BackoffElapsed,
+    ];
+}
+
+/// One move of the fetch state machine (see [`step`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Transition {
+    /// The state the fetch moves to.
+    pub(crate) to: FetchState,
+    /// `true` when the move gives up on the current replica: it is marked
+    /// suspect and counted as a failover before `to` is entered.
+    pub(crate) abandons: bool,
+}
+
+/// The fetch state machine's transition function: where `input` takes a
+/// fetch in `state` under `recovery`, or `None` when the input cannot
+/// occur in that phase (a local read never stalls; a terminal state takes
+/// no input).
+///
+/// Entering `Transferring` counts one attempt against the current
+/// replica. A stall backs off for another attempt until
+/// [`RetryPolicy::exhausted`](datagrid_gridftp::retry::RetryPolicy::exhausted);
+/// then the replica is abandoned, and the fetch decides again unless
+/// abandoning it exceeds [`RecoveryOptions::max_failovers`].
+pub(crate) fn step(
+    state: FetchState,
+    input: FetchInput,
+    recovery: &RecoveryOptions,
+) -> Option<Transition> {
+    let FetchState {
+        phase,
+        episode_attempts: attempts,
+        failed,
+    } = state;
+    let to = |phase, episode_attempts, failed| FetchState {
+        phase,
+        episode_attempts,
+        failed,
+    };
+    let next = match phase {
+        FetchPhase::Arrival if input == FetchInput::Arrived => to(FetchPhase::Deciding, 0, failed),
+        FetchPhase::Deciding if input == FetchInput::ChoseLocal => {
+            to(FetchPhase::LocalRead, 0, failed)
+        }
+        FetchPhase::Deciding if input == FetchInput::ChoseRemote => {
+            to(FetchPhase::Transferring, 1, failed)
+        }
+        FetchPhase::Deciding if input == FetchInput::NoCandidate => {
+            to(FetchPhase::Failed, attempts, failed)
+        }
+        FetchPhase::LocalRead | FetchPhase::Transferring if input == FetchInput::Delivered => {
+            to(FetchPhase::Completed, attempts, failed)
+        }
+        FetchPhase::Transferring if input == FetchInput::Stalled => {
+            if !recovery.retry.exhausted(attempts) {
+                to(FetchPhase::Backoff, attempts, failed)
+            } else if failed.saturating_add(1) > recovery.max_failovers {
+                to(FetchPhase::Failed, attempts, failed.saturating_add(1))
+            } else {
+                to(FetchPhase::Deciding, 0, failed.saturating_add(1))
+            }
+        }
+        FetchPhase::Backoff if input == FetchInput::BackoffElapsed => {
+            to(FetchPhase::Transferring, attempts.saturating_add(1), failed)
+        }
+        FetchPhase::Arrival
+        | FetchPhase::Deciding
+        | FetchPhase::LocalRead
+        | FetchPhase::Transferring
+        | FetchPhase::Backoff
+        | FetchPhase::Completed
+        | FetchPhase::Failed => return None,
+    };
+    Some(Transition {
+        to: next,
+        abandons: next.failed > failed,
+    })
+}
+
+/// What a job is waiting for, with the data the driver needs when the
+/// wait ends.
 enum Phase {
     /// Its arrival timer.
     Arrival,
@@ -171,6 +344,10 @@ struct JobState {
     failed_over: Vec<String>,
     payload_moved: u64,
     decision_started: SimTime,
+    /// Catalog + selection latency summed over every decision round.
+    decision_latency: SimDuration,
+    /// Time spent in backoff pauses.
+    backoff_total: SimDuration,
     /// Audit sequence number of this job's latest decision, for attaching
     /// the measured time to the *right* entry under interleaving.
     audit_seq: Option<u64>,
@@ -183,6 +360,25 @@ struct JobState {
     /// Data flows the live session has started, mirrored into
     /// [`Driver::flow_owner`]; the buffer is reused across attempts.
     owned_flows: Vec<FlowId>,
+}
+
+impl JobState {
+    /// The state [`step`] sees. Terminal jobs take no input.
+    fn fetch_state(&self) -> FetchState {
+        let phase = match self.phase {
+            Phase::Arrival => FetchPhase::Arrival,
+            Phase::Deciding => FetchPhase::Deciding,
+            Phase::Backoff { .. } => FetchPhase::Backoff,
+            Phase::LocalRead { .. } => FetchPhase::LocalRead,
+            Phase::Transferring(_) => FetchPhase::Transferring,
+            Phase::Done => unreachable!("terminal jobs take no input"),
+        };
+        FetchState {
+            phase,
+            episode_attempts: self.episode_attempts,
+            failed: u32::try_from(self.failed_over.len()).unwrap_or(u32::MAX),
+        }
+    }
 }
 
 /// The replay event loop: grid + per-job state machines. `grid` and the
@@ -202,13 +398,25 @@ struct Driver<'a> {
     /// Data-flow id -> job index, for O(1) routing of flow completions.
     /// Never iterated (HashMap order must stay unobservable).
     flow_owner: HashMap<FlowId, usize>,
-    /// Reusable ranked-candidate buffer for [`Driver::decide`].
+    /// Reusable ranked-candidate buffer for [`Driver::decide`]. After a
+    /// decision it holds that ranking minus the chosen candidate, which
+    /// `swap_remove` took from index [`Driver::last_chosen`].
     cand_buf: Vec<CandidateScore>,
+    /// Ranking index of the latest decision's choice.
+    last_chosen: usize,
+    /// The latest delivering transfer (local read or final attempt).
+    last_transfer: Option<TransferOutcome>,
     outcomes: Vec<Option<ReplayOutcome>>,
     remaining: usize,
-    /// The grid's phase profiler, held here for the duration of the run
-    /// so span guards can borrow it while `grid` methods take `&mut`.
+    /// The grid's phase profiler, held here while the driver lives so
+    /// span guards can borrow it while `grid` methods take `&mut`.
     prof: PhaseProfiler,
+}
+
+impl Drop for Driver<'_> {
+    fn drop(&mut self) {
+        self.grid.prof = std::mem::take(&mut self.prof);
+    }
 }
 
 impl DataGrid {
@@ -246,47 +454,17 @@ impl DataGrid {
         // Open the first timeline window at the replay boundary even if no
         // monitor tick has fired yet.
         self.sample_timeline();
-        let prof = std::mem::take(&mut self.prof);
-        let mut driver = Driver {
-            grid: self,
-            options,
-            recovery,
-            states: Vec::with_capacity(jobs.len()),
-            timers: HashMap::new(),
-            session_blocks: HashMap::new(),
-            flow_owner: HashMap::new(),
-            cand_buf: Vec::new(),
-            outcomes: std::iter::repeat_with(|| None).take(jobs.len()).collect(),
-            remaining: jobs.len(),
-            prof,
-        };
-        for (idx, job) in jobs.iter().enumerate() {
+        let mut driver = Driver::new(self, options, recovery, jobs.len());
+        for job in jobs {
+            let at = job.at.max(started);
+            let idx = driver.admit(job.client, &job.lfn, at);
             let token = driver.grid.alloc_session_tokens();
-            driver.grid.sim.schedule_timer(job.at.max(started), token);
+            driver.grid.sim.schedule_timer(at, token);
             driver.timers.insert(token, idx);
-            driver.states.push(JobState {
-                client: job.client,
-                client_name: driver.grid.hosts[job.client.index()].name().to_string(),
-                lfn: job.lfn.clone(),
-                submitted: job.at.max(started),
-                total_bytes: 0,
-                committed: 0,
-                episode_attempts: 0,
-                attempts: 0,
-                failed_over: Vec::new(),
-                payload_moved: 0,
-                decision_started: SimTime::ZERO,
-                audit_seq: None,
-                choice: None,
-                phase: Phase::Arrival,
-                session_block: None,
-                owned_flows: Vec::new(),
-            });
         }
         let run_result = driver.run();
-        let raw = driver.outcomes;
-        let prof = driver.prof;
-        self.prof = prof;
+        let raw = std::mem::take(&mut driver.outcomes);
+        drop(driver);
         run_result?;
         // Close the timeline on the drained state of the network.
         self.sample_timeline();
@@ -308,9 +486,134 @@ impl DataGrid {
             finished,
         })
     }
+
+    /// The paper's Fig. 1 scenario hardened for faulty grids: catalog
+    /// query, factor gathering, policy choice, then a GridFTP transfer
+    /// with stall detection and retries — and when the chosen replica's
+    /// retries are exhausted, the site is marked suspect in the catalog,
+    /// candidates are re-ranked (suspects are penalised) and the fetch
+    /// fails over to the next-best replica. The whole episode — faults,
+    /// stalls, backoff pauses, failovers and the final winner — is
+    /// recorded through the observability layer.
+    ///
+    /// This is a replay of one job that arrives now: the fetch runs on
+    /// the state machine of [`DataGrid::replay_concurrent`], with the
+    /// caller's event loop owning the simulator until it resolves.
+    ///
+    /// # Errors
+    ///
+    /// Catalog errors, [`GridError::NoReplicas`],
+    /// [`GridError::ReplicaOffGrid`], transfer errors, or
+    /// [`GridError::AllReplicasFailed`] when every candidate was tried
+    /// and abandoned.
+    pub fn fetch_with_recovery(
+        &mut self,
+        client: HostId,
+        lfn: &str,
+        options: FetchOptions,
+        recovery: &RecoveryOptions,
+    ) -> Result<RecoveredFetch, GridError> {
+        let now = self.sim.now();
+        let mut driver = Driver::new(self, options, recovery, 1);
+        let idx = driver.admit(client, lfn, now);
+        // The job arrives now: take its arrival transition directly. A
+        // timer at `now` would fire only after the events already queued
+        // for this instant.
+        driver.on_control(idx)?;
+        driver.run()?;
+        let outcome = driver.outcomes[idx]
+            .take()
+            .expect("the run ends with the job terminal");
+        let local_hit = match outcome.status {
+            ReplayStatus::Completed { local_hit, .. } => local_hit,
+            ReplayStatus::Failed { failed } => {
+                return Err(GridError::AllReplicasFailed {
+                    lfn: lfn.to_string(),
+                    failed,
+                });
+            }
+        };
+        // Undo the final decision's `swap_remove` to restore its ranking.
+        let st = &mut driver.states[idx];
+        let mut candidates = std::mem::take(&mut driver.cand_buf);
+        candidates.push(st.choice.take().expect("a completed job has a choice"));
+        let last = candidates.len() - 1;
+        candidates.swap(driver.last_chosen, last);
+        Ok(RecoveredFetch {
+            report: FetchReport {
+                lfn: LogicalFileName::new(lfn)?,
+                client: outcome.client,
+                local_hit,
+                candidates,
+                chosen: driver.last_chosen,
+                transfer: driver
+                    .last_transfer
+                    .take()
+                    .expect("a completed job delivered a transfer"),
+                decision_latency: st.decision_latency,
+            },
+            failed_over: std::mem::take(&mut st.failed_over),
+            attempts: outcome.attempts,
+            payload_moved: outcome.payload_moved,
+            backoff_total: st.backoff_total,
+        })
+    }
 }
 
-impl Driver<'_> {
+impl<'a> Driver<'a> {
+    /// Takes the grid's profiler for the driver's lifetime (returned on
+    /// drop).
+    fn new(
+        grid: &'a mut DataGrid,
+        options: FetchOptions,
+        recovery: &'a RecoveryOptions,
+        jobs: usize,
+    ) -> Self {
+        let prof = std::mem::take(&mut grid.prof);
+        Driver {
+            grid,
+            options,
+            recovery,
+            states: Vec::with_capacity(jobs),
+            timers: HashMap::new(),
+            session_blocks: HashMap::new(),
+            flow_owner: HashMap::new(),
+            cand_buf: Vec::new(),
+            last_chosen: 0,
+            last_transfer: None,
+            outcomes: Vec::with_capacity(jobs),
+            remaining: 0,
+            prof,
+        }
+    }
+
+    /// Adds a job waiting for its arrival at `at`; returns its index.
+    fn admit(&mut self, client: HostId, lfn: &str, at: SimTime) -> usize {
+        self.states.push(JobState {
+            client,
+            client_name: self.grid.hosts[client.index()].name().to_string(),
+            lfn: lfn.to_string(),
+            submitted: at,
+            total_bytes: 0,
+            committed: 0,
+            episode_attempts: 0,
+            attempts: 0,
+            failed_over: Vec::new(),
+            payload_moved: 0,
+            decision_started: SimTime::ZERO,
+            decision_latency: SimDuration::ZERO,
+            backoff_total: SimDuration::ZERO,
+            audit_seq: None,
+            choice: None,
+            phase: Phase::Arrival,
+            session_block: None,
+            owned_flows: Vec::new(),
+        });
+        self.outcomes.push(None);
+        self.remaining += 1;
+        self.states.len() - 1
+    }
+
     // lint: hot-path
     fn run(&mut self) -> Result<(), GridError> {
         while self.remaining > 0 {
@@ -385,7 +688,7 @@ impl Driver<'_> {
             self.grid.handle_internal(&ev);
             if monitor_tick {
                 // Host loads just advanced: push fresh disk/CPU limits
-                // into every running transfer, as the blocking paths do.
+                // into every running transfer.
                 for st in &mut self.states {
                     if let Phase::Transferring(session) = &mut st.phase {
                         let choice = st.choice.as_ref().expect("transferring jobs have a choice");
@@ -434,80 +737,101 @@ impl Driver<'_> {
         }
     }
 
+    /// A control timer of job `idx` fired: the wait its phase names is
+    /// over.
     fn on_control(&mut self, idx: usize) -> Result<(), GridError> {
-        match std::mem::replace(&mut self.states[idx].phase, Phase::Done) {
-            Phase::Arrival => {
-                self.states[idx].decision_started = self.grid.sim.now();
-                self.states[idx].phase = Phase::Deciding;
-                let latency = self.grid.service_latency(self.states[idx].client);
-                self.schedule_control(idx, latency);
-                Ok(())
-            }
-            Phase::Deciding => self.decide(idx),
+        let state = self.states[idx].fetch_state();
+        let input = match std::mem::replace(&mut self.states[idx].phase, Phase::Done) {
+            Phase::Arrival => FetchInput::Arrived,
+            Phase::Deciding => return self.decide(idx, state),
             Phase::Backoff { pause } => {
-                {
-                    let _retry = self.prof.span("retry");
-                    let now = self.grid.sim.now();
-                    if let Some(tl) = self.grid.timeline.as_mut() {
-                        tl.record_retry(now);
-                    }
-                    self.grid.obs.metrics_mut().inc("transfer.retries");
-                    if self.grid.obs.is_enabled() {
-                        let st = &self.states[idx];
-                        let choice = st.choice.as_ref().expect("backoff implies a choice");
-                        self.grid.obs.emit(
-                            Event::new(now, "gridftp", "transfer.retry")
-                                .with("src", choice.host_name.as_str())
-                                .with("dst", st.client_name.as_str())
-                                .with("attempt", st.episode_attempts + 1)
-                                .with("backoff_secs", pause.as_secs_f64())
-                                .with("resume_offset", st.committed),
-                        );
-                    }
-                }
-                self.start_attempt(idx)
-            }
-            Phase::LocalRead { started } => {
+                let _retry = self.prof.span("retry");
                 let now = self.grid.sim.now();
-                let st = &mut self.states[idx];
-                st.attempts += 1;
-                let bytes = st.total_bytes;
-                let outcome = TransferOutcome {
-                    payload_bytes: bytes,
-                    wire_bytes: 0,
-                    streams: 0,
-                    stripes: 0,
-                    started,
-                    finished: now,
-                    phases: vec![PhaseRecord {
-                        name: "data",
-                        start: started,
-                        end: now,
-                    }],
-                };
-                {
+                if let Some(tl) = self.grid.timeline.as_mut() {
+                    tl.record_retry(now);
+                }
+                self.grid.obs.metrics_mut().inc("transfer.retries");
+                if self.grid.obs.is_enabled() {
                     let st = &self.states[idx];
-                    self.grid.record_transfer_for(
-                        &st.client_name,
-                        &st.client_name,
-                        "local",
-                        &outcome,
-                        Some(&st.lfn),
+                    let choice = st.choice.as_ref().expect("backoff implies a choice");
+                    self.grid.obs.emit(
+                        Event::new(now, "gridftp", "transfer.retry")
+                            .with("src", choice.host_name.as_str())
+                            .with("dst", st.client_name.as_str())
+                            .with("attempt", st.episode_attempts + 1)
+                            .with("backoff_secs", pause.as_secs_f64())
+                            .with("resume_offset", st.committed),
                     );
                 }
-                self.finish_transfer(idx, &outcome, true);
-                Ok(())
+                FetchInput::BackoffElapsed
+            }
+            Phase::LocalRead { started } => {
+                let st = &mut self.states[idx];
+                st.attempts += 1;
+                let outcome = local_outcome(st.total_bytes, started, self.grid.sim.now());
+                self.grid.record_transfer_for(
+                    &st.client_name,
+                    &st.client_name,
+                    "local",
+                    &outcome,
+                    Some(&st.lfn),
+                );
+                self.last_transfer = Some(outcome);
+                FetchInput::Delivered
             }
             Phase::Transferring(_) | Phase::Done => {
                 unreachable!("control timers only target waiting jobs")
             }
-        }
+        };
+        self.advance(idx, state, input)
     }
 
-    /// Scores candidates, records the decision and launches the chosen
-    /// replica's first attempt. Re-entered after an abandon with the
-    /// failed hosts excluded (the `"failover"` policy label).
-    fn decide(&mut self, idx: usize) -> Result<(), GridError> {
+    /// Feeds `input` to [`step`] and carries out the transition: the
+    /// abandon bookkeeping if it gives up on the replica, then whatever
+    /// the target phase waits on.
+    fn advance(
+        &mut self,
+        idx: usize,
+        state: FetchState,
+        input: FetchInput,
+    ) -> Result<(), GridError> {
+        let t =
+            step(state, input, self.recovery).expect("the driver feeds inputs its phase accepts");
+        if t.abandons {
+            self.abandon_replica(idx);
+        }
+        self.states[idx].episode_attempts = t.to.episode_attempts;
+        match t.to.phase {
+            FetchPhase::Deciding => {
+                let st = &mut self.states[idx];
+                st.decision_started = self.grid.sim.now();
+                st.phase = Phase::Deciding;
+                let latency = self.grid.service_latency(st.client);
+                self.schedule_control(idx, latency);
+            }
+            FetchPhase::LocalRead => self.start_local_read(idx),
+            FetchPhase::Transferring => self.start_attempt(idx)?,
+            FetchPhase::Backoff => {
+                let pause = self
+                    .recovery
+                    .retry
+                    .backoff(t.to.episode_attempts - 1, &mut self.grid.recovery_rng);
+                let st = &mut self.states[idx];
+                st.backoff_total += pause;
+                st.phase = Phase::Backoff { pause };
+                self.schedule_control(idx, pause);
+            }
+            FetchPhase::Completed => self.finish_transfer(idx),
+            FetchPhase::Failed => self.fail_job(idx),
+            FetchPhase::Arrival => unreachable!("no transition re-enters arrival"),
+        }
+        Ok(())
+    }
+
+    /// Scores candidates, records the decision and hands what it yielded
+    /// to [`step`]. Re-entered after an abandon with the failed hosts
+    /// excluded (the `"failover"` policy label).
+    fn decide(&mut self, idx: usize, state: FetchState) -> Result<(), GridError> {
         let guard = self.prof.span("decide");
         let client = self.states[idx].client;
         // The ranking lands in the driver's reusable buffer; the chosen
@@ -516,22 +840,17 @@ impl Driver<'_> {
         self.grid
             .score_candidates_into(client, &self.states[idx].lfn, &mut self.cand_buf)?;
         self.prof.add_items(self.cand_buf.len() as u64);
-        let failover = !self.states[idx].failed_over.is_empty();
+        let failover = state.failed > 0;
         let chosen = if failover {
-            let next = self
-                .cand_buf
+            self.cand_buf
                 .iter()
-                .position(|c| !self.states[idx].failed_over.contains(&c.host_name));
-            match next {
-                Some(i) => i,
-                None => {
-                    drop(guard);
-                    self.fail_job(idx);
-                    return Ok(());
-                }
-            }
+                .position(|c| !self.states[idx].failed_over.contains(&c.host_name))
         } else {
-            self.grid.selector.choose(&self.cand_buf)
+            Some(self.grid.selector.choose(&self.cand_buf))
+        };
+        let Some(chosen) = chosen else {
+            drop(guard);
+            return self.advance(idx, state, FetchInput::NoCandidate);
         };
         let decision_latency = self.grid.sim.now() - self.states[idx].decision_started;
         let seq = self.grid.obs.audit().next_seq();
@@ -544,11 +863,17 @@ impl Driver<'_> {
             failover.then_some("failover"),
         );
         let choice = self.cand_buf.swap_remove(chosen);
+        self.last_chosen = chosen;
+        let input = if choice.is_local {
+            FetchInput::ChoseLocal
+        } else {
+            FetchInput::ChoseRemote
+        };
         let st = &mut self.states[idx];
+        st.decision_latency += decision_latency;
         st.audit_seq = Some(seq);
         st.choice = Some(choice);
         st.committed = 0;
-        st.episode_attempts = 0;
         if !failover {
             let name = LogicalFileName::new(&st.lfn)?;
             st.total_bytes = self
@@ -560,39 +885,36 @@ impl Driver<'_> {
                 .size_bytes();
         }
         drop(guard);
-        self.start_attempt(idx)
+        self.advance(idx, state, input)
     }
 
-    /// Starts one transfer attempt against the current choice — a
-    /// synthesised local read for local hits, a GridFTP session
-    /// otherwise, resuming from the committed offset on retries.
+    /// Starts a synthesised read of the client's own copy.
+    fn start_local_read(&mut self, idx: usize) {
+        let guard = self.prof.span("dispatch");
+        let total = self.states[idx].total_bytes;
+        self.prof.add_items(total);
+        let rate = self.grid.hosts[self.states[idx].client.index()].available_disk_read();
+        let pause = rate.time_for_bytes(total);
+        self.states[idx].phase = Phase::LocalRead {
+            started: self.grid.sim.now(),
+        };
+        drop(guard);
+        self.schedule_control(idx, pause);
+    }
+
+    /// Starts one GridFTP attempt against the current choice, resuming
+    /// from the committed offset on retries.
     fn start_attempt(&mut self, idx: usize) -> Result<(), GridError> {
         let guard = self.prof.span("dispatch");
-        let (is_local, choice_host) = {
-            let choice = self.states[idx]
-                .choice
-                .as_ref()
-                .expect("attempts follow a decision");
-            (choice.is_local, choice.host)
-        };
+        let choice_host = self.states[idx]
+            .choice
+            .as_ref()
+            .expect("attempts follow a decision")
+            .host;
         let client = self.states[idx].client;
         let total = self.states[idx].total_bytes;
-        if is_local {
-            self.prof.add_items(total);
-            let rate = self.grid.hosts[client.index()].available_disk_read();
-            let pause = rate.time_for_bytes(total);
-            self.states[idx].phase = Phase::LocalRead {
-                started: self.grid.sim.now(),
-            };
-            drop(guard);
-            self.schedule_control(idx, pause);
-            return Ok(());
-        }
         let committed = self.states[idx].committed;
-        let req = TransferRequest::new(total)
-            .with_protocol(self.options.protocol)
-            .with_parallelism(self.options.parallelism)
-            .with_protection(self.options.protection);
+        let req = self.options.request(total);
         let attempt_req = if committed == 0 {
             req
         } else {
@@ -616,7 +938,6 @@ impl Driver<'_> {
         .with_stall_timeout(self.recovery.stall_timeout);
         self.prof.add_items(total - committed);
         let st = &mut self.states[idx];
-        st.episode_attempts += 1;
         st.attempts += 1;
         session.start(&mut self.grid.sim);
         st.phase = Phase::Transferring(Box::new(session));
@@ -634,6 +955,7 @@ impl Driver<'_> {
         idx: usize,
         ev: &datagrid_simnet::engine::SimEvent,
     ) -> Result<(), GridError> {
+        let state = self.states[idx].fetch_state();
         let status = {
             let Phase::Transferring(session) = &mut self.states[idx].phase else {
                 unreachable!("owner scan only matches transferring jobs");
@@ -649,35 +971,27 @@ impl Driver<'_> {
             }
             SessionStatus::Complete(outcome) => {
                 self.release_session(idx);
-                let st = &mut self.states[idx];
-                st.payload_moved += outcome.payload_bytes;
-                let cache_key = {
-                    let st = &self.states[idx];
-                    let choice = st.choice.as_ref().expect("transferring jobs have a choice");
-                    (self.grid.node_of(st.client), self.grid.node_of(choice.host))
-                };
+                self.states[idx].payload_moved += outcome.payload_bytes;
+                let st = &self.states[idx];
+                let choice = st.choice.as_ref().expect("transferring jobs have a choice");
+                let cache_key = (self.grid.node_of(st.client), self.grid.node_of(choice.host));
                 self.grid.remember_control(cache_key);
-                let protocol = protocol_label(self.options.protocol);
-                {
-                    let st = &self.states[idx];
-                    let choice = st.choice.as_ref().expect("transferring jobs have a choice");
-                    self.grid.record_transfer_for(
-                        &choice.host_name,
-                        &st.client_name,
-                        protocol,
-                        &outcome,
-                        Some(&st.lfn),
-                    );
-                }
-                self.finish_transfer(idx, &outcome, false);
-                Ok(())
+                self.grid.record_transfer_for(
+                    &choice.host_name,
+                    &st.client_name,
+                    protocol_label(self.options.protocol),
+                    &outcome,
+                    Some(&st.lfn),
+                );
+                self.last_transfer = Some(outcome);
+                self.advance(idx, state, FetchInput::Delivered)
             }
             SessionStatus::Failed(failure) => {
                 self.release_session(idx);
                 let st = &mut self.states[idx];
                 st.committed += failure.restart_offset();
                 st.payload_moved += failure.delivered_payload;
-                st.phase = Phase::Done; // placeholder until rescheduled below
+                st.phase = Phase::Done; // placeholder until the transition
                 let (attempts, committed) = (st.episode_attempts, st.committed);
                 self.grid.obs.metrics_mut().inc("transfer.stalls");
                 if self.grid.obs.is_enabled() {
@@ -693,26 +1007,15 @@ impl Driver<'_> {
                             .with("resumable", failure.resumable),
                     );
                 }
-                if self.recovery.retry.exhausted(attempts) {
-                    self.abandon_replica(idx)
-                } else {
-                    let pause = self
-                        .recovery
-                        .retry
-                        .backoff(attempts - 1, &mut self.grid.recovery_rng);
-                    self.states[idx].phase = Phase::Backoff { pause };
-                    self.schedule_control(idx, pause);
-                    Ok(())
-                }
+                self.advance(idx, state, FetchInput::Stalled)
             }
         }
     }
 
-    /// The current replica's retries are exhausted: mark it suspect,
-    /// record the failover, and either fail the job or schedule the next
-    /// decision round.
-    fn abandon_replica(&mut self, idx: usize) -> Result<(), GridError> {
-        let guard = self.prof.span("failover");
+    /// The current replica's retries are exhausted: mark it suspect and
+    /// record the failover. [`step`] decides whether the job tries again.
+    fn abandon_replica(&mut self, idx: usize) {
+        let _failover = self.prof.span("failover");
         let st = &mut self.states[idx];
         let choice = st.choice.take().expect("abandon follows attempts");
         let now = self.grid.sim.now();
@@ -742,24 +1045,18 @@ impl Driver<'_> {
             );
         }
         st.failed_over.push(choice.host_name);
-        if st.failed_over.len() as u64 > u64::from(self.recovery.max_failovers) {
-            drop(guard);
-            self.fail_job(idx);
-            return Ok(());
-        }
-        self.states[idx].decision_started = now;
-        self.states[idx].phase = Phase::Deciding;
-        let latency = self.grid.service_latency(self.states[idx].client);
-        drop(guard);
-        self.schedule_control(idx, latency);
-        Ok(())
     }
 
-    /// Terminal success: attach the measured time to this job's decision
-    /// and record the outcome.
-    fn finish_transfer(&mut self, idx: usize, outcome: &TransferOutcome, local_hit: bool) {
+    /// Terminal success: attach the measured time of the delivering
+    /// transfer to this job's decision and record the outcome.
+    fn finish_transfer(&mut self, idx: usize) {
+        let outcome = self
+            .last_transfer
+            .as_ref()
+            .expect("delivery records its transfer");
         let st = &mut self.states[idx];
         let choice = st.choice.as_ref().expect("finishing jobs have a choice");
+        let local_hit = choice.is_local;
         let winner = choice.host_name.clone();
         if local_hit {
             st.payload_moved += outcome.payload_bytes;
@@ -789,22 +1086,14 @@ impl Driver<'_> {
                     .with("secs", latency_secs),
             );
         }
-        self.outcomes[idx] = Some(ReplayOutcome {
-            client: st.client_name.clone(),
-            lfn: st.lfn.clone(),
-            submitted: st.submitted,
-            finished: self.grid.sim.now(),
-            attempts: st.attempts,
-            failovers: st.failed_over.len() as u32,
-            payload_moved: st.payload_moved,
-            status: ReplayStatus::Completed {
+        self.conclude(
+            idx,
+            ReplayStatus::Completed {
                 winner,
                 bytes: delivered,
                 local_hit,
             },
-        });
-        self.states[idx].phase = Phase::Done;
-        self.remaining -= 1;
+        );
     }
 
     /// Terminal failure: every candidate the policy allowed was tried and
@@ -823,19 +1112,73 @@ impl Driver<'_> {
                     .with("failed_over", st.failed_over.len()),
             );
         }
+        let status = ReplayStatus::Failed {
+            failed: st.failed_over.clone(),
+        };
+        self.conclude(idx, status);
+    }
+
+    /// Records job `idx`'s terminal outcome; the job leaves the run and
+    /// hands its names over to the outcome.
+    fn conclude(&mut self, idx: usize, status: ReplayStatus) {
+        let st = &mut self.states[idx];
+        st.phase = Phase::Done;
         self.outcomes[idx] = Some(ReplayOutcome {
-            client: st.client_name.clone(),
-            lfn: st.lfn.clone(),
+            client: std::mem::take(&mut st.client_name),
+            lfn: std::mem::take(&mut st.lfn),
             submitted: st.submitted,
             finished: self.grid.sim.now(),
             attempts: st.attempts,
-            failovers: st.failed_over.len() as u32,
+            failovers: u32::try_from(st.failed_over.len()).unwrap_or(u32::MAX),
             payload_moved: st.payload_moved,
-            status: ReplayStatus::Failed {
-                failed: st.failed_over.clone(),
-            },
+            status,
         });
-        self.states[idx].phase = Phase::Done;
         self.remaining -= 1;
+    }
+}
+
+#[cfg(test)]
+mod step_tests {
+    use super::*;
+
+    /// A stall backs off until the policy's attempts are spent, then
+    /// abandons the replica; the failover cap turns the last abandon into
+    /// `Failed`. Inputs foreign to a phase have no transition.
+    #[test]
+    fn stalls_walk_the_retry_then_failover_ladder() {
+        let recovery = RecoveryOptions::default().with_max_failovers(1);
+        let max = recovery.retry.max_attempts;
+        let stall = |phase, episode_attempts, failed| {
+            let state = FetchState {
+                phase,
+                episode_attempts,
+                failed,
+            };
+            step(state, FetchInput::Stalled, &recovery)
+                .map(|t| (t.to.phase, t.to.failed, t.abandons))
+        };
+        let transferring = FetchPhase::Transferring;
+        assert_eq!(
+            stall(transferring, 1, 0),
+            Some((FetchPhase::Backoff, 0, false))
+        );
+        assert_eq!(
+            stall(transferring, max, 0),
+            Some((FetchPhase::Deciding, 1, true))
+        );
+        assert_eq!(
+            stall(transferring, max, 1),
+            Some((FetchPhase::Failed, 2, true))
+        );
+        assert_eq!(
+            stall(FetchPhase::LocalRead, 1, 0),
+            None,
+            "local reads never stall"
+        );
+        assert_eq!(
+            stall(FetchPhase::Completed, 1, 0),
+            None,
+            "terminals take no input"
+        );
     }
 }

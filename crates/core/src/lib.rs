@@ -55,8 +55,10 @@ pub mod tuning;
 pub use cost::{CostModel, Weights};
 pub use error::GridError;
 pub use factors::{CandidateScore, SystemFactors};
-pub use grid::modelcheck::{explore, Exploration, FetchModel, ModelPhase, ModelState};
-pub use grid::replay::{ReplayJob, ReplayOutcome, ReplayReport, ReplayStatus};
+pub use grid::modelcheck::{explore, Exploration, FetchModel};
+pub use grid::replay::{
+    FetchPhase, FetchState, ReplayJob, ReplayOutcome, ReplayReport, ReplayStatus,
+};
 pub use grid::{DataGrid, FetchOptions, FetchReport, GridBuilder, SelectionMode};
 pub use policy::{ReplicaSelector, SelectionPolicy};
 pub use recovery::{RecoveredFetch, RecoveryOptions};

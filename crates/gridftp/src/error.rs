@@ -28,14 +28,6 @@ pub enum TransferError {
         /// Actual file size.
         file_size: u64,
     },
-    /// Every permitted attempt stalled; the transfer was abandoned with
-    /// only a prefix of the payload delivered.
-    RetriesExhausted {
-        /// Sessions attempted (including the first).
-        attempts: u32,
-        /// Payload bytes committed by restart markers across all attempts.
-        delivered: u64,
-    },
 }
 
 impl fmt::Display for TransferError {
@@ -54,13 +46,6 @@ impl fmt::Display for TransferError {
             } => write!(
                 f,
                 "partial range {offset}+{length} exceeds file size {file_size}"
-            ),
-            TransferError::RetriesExhausted {
-                attempts,
-                delivered,
-            } => write!(
-                f,
-                "transfer abandoned after {attempts} stalled attempts ({delivered} bytes delivered)"
             ),
         }
     }

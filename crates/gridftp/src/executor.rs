@@ -12,7 +12,6 @@
 use std::collections::HashMap;
 
 use datagrid_simnet::engine::{EventKind, FlowId, FlowSpec, NetSim, SimEvent};
-use datagrid_simnet::rng::SimRng;
 use datagrid_simnet::tcp::TcpParams;
 use datagrid_simnet::time::{SimDuration, SimTime};
 use datagrid_simnet::topology::{Bandwidth, NodeId};
@@ -20,7 +19,6 @@ use datagrid_simnet::topology::{Bandwidth, NodeId};
 use crate::error::TransferError;
 use crate::gsi::GsiConfig;
 use crate::mode::TransferMode;
-use crate::retry::RetryPolicy;
 use crate::session::ControlScript;
 use crate::transfer::{PhaseRecord, TransferOutcome, TransferRequest};
 
@@ -694,118 +692,6 @@ pub fn run_striped_transfer(
     }
 }
 
-/// The result of a transfer that may have needed retries (see
-/// [`run_transfer_with_recovery`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoveredTransfer {
-    /// Outcome of the final, successful attempt.
-    pub outcome: TransferOutcome,
-    /// Sessions started, including the first.
-    pub attempts: u32,
-    /// The restart offset each retry resumed from (empty when the first
-    /// attempt succeeded; zeros when stream mode forced full restarts).
-    pub resumed_from: Vec<u64>,
-    /// Payload bytes delivered across every attempt, counting bytes a
-    /// stream-mode restart later threw away — equals the request payload
-    /// exactly when MODE E restart markers avoided all re-transmission.
-    pub payload_moved: u64,
-    /// Total time spent waiting in backoff pauses.
-    pub backoff_total: SimDuration,
-}
-
-/// Runs a transfer with stall detection and seeded exponential-backoff
-/// retries on a simulator with no other foreground activity. Each retry of
-/// a MODE E transfer resumes from the last restart marker; stream-mode
-/// retries restart from byte zero.
-///
-/// # Errors
-///
-/// Any [`TransferError`] from request validation, or
-/// [`TransferError::RetriesExhausted`] when every permitted attempt
-/// stalled.
-///
-/// # Panics
-///
-/// Panics if the endpoints are unroutable.
-#[allow(clippy::too_many_arguments)] // mirrors run_transfer plus the recovery knobs
-pub fn run_transfer_with_recovery(
-    sim: &mut NetSim,
-    req: &TransferRequest,
-    src: &TransferEndpoint,
-    dst: &TransferEndpoint,
-    tcp: &TcpParams,
-    policy: &RetryPolicy,
-    stall_timeout: SimDuration,
-    rng: &mut SimRng,
-) -> Result<RecoveredTransfer, TransferError> {
-    // Token bases disjoint from both run_transfer and the Data Grid layer;
-    // each attempt gets its own range so stale watchdogs never collide.
-    const RECOVERY_SESSION_TOKENS: u64 = 1 << 41;
-    const RECOVERY_WAIT_TOKENS: u64 = 1 << 42;
-    req.validate()?;
-    let base_offset = req.range.map_or(0, |r| r.offset);
-    let total = req.payload_bytes();
-    let mut committed = 0u64;
-    let mut attempts = 0u32;
-    let mut resumed_from = Vec::new();
-    let mut payload_moved = 0u64;
-    let mut backoff_total = SimDuration::ZERO;
-    loop {
-        let attempt_req = if committed == 0 {
-            *req
-        } else {
-            req.with_range(base_offset + committed, total - committed)
-        };
-        let token_base =
-            RECOVERY_SESSION_TOKENS + u64::from(attempts) * TransferSession::TOKENS_PER_SESSION;
-        let mut session = TransferSession::new(attempt_req, *src, *dst, *tcp, token_base)?
-            .with_stall_timeout(stall_timeout);
-        attempts += 1;
-        session.start(sim);
-        let failure = loop {
-            let event = sim
-                .next_event()
-                .expect("recovery session always has pending work");
-            if !session.owns(&event) {
-                continue; // stale watchdogs of earlier attempts, fault notices
-            }
-            match session.handle(sim, &event) {
-                SessionStatus::Complete(outcome) => {
-                    payload_moved += outcome.payload_bytes;
-                    return Ok(RecoveredTransfer {
-                        outcome,
-                        attempts,
-                        resumed_from,
-                        payload_moved,
-                        backoff_total,
-                    });
-                }
-                SessionStatus::Failed(failure) => break failure,
-                SessionStatus::InProgress => {}
-            }
-        };
-        committed += failure.restart_offset();
-        payload_moved += failure.delivered_payload;
-        if policy.exhausted(attempts) {
-            return Err(TransferError::RetriesExhausted {
-                attempts,
-                delivered: committed,
-            });
-        }
-        let pause = policy.backoff(attempts - 1, rng);
-        backoff_total += pause;
-        let wait_token = RECOVERY_WAIT_TOKENS + u64::from(attempts);
-        sim.schedule_timer_after(pause, wait_token);
-        loop {
-            let event = sim.next_event().expect("backoff timer is pending");
-            if event.kind == EventKind::TimerFired(wait_token) {
-                break;
-            }
-        }
-        resumed_from.push(committed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1306,10 +1192,17 @@ mod restart_tests {
     }
 }
 
+/// The session-level recovery contract the Data Grid fetch driver builds
+/// on: the stall watchdog tears a dead transfer down, [`TransferFailure`]
+/// carries the restart marker, and a new session resumes from it after a
+/// [`RetryPolicy`] pause. The driver itself lives in the core crate; these
+/// tests compose the same primitives in a minimal retry loop.
 #[cfg(test)]
 mod recovery_tests {
     use super::*;
+    use crate::retry::RetryPolicy;
     use datagrid_simnet::fault::FaultPlan;
+    use datagrid_simnet::rng::SimRng;
     use datagrid_simnet::topology::{LinkId, LinkSpec, Topology};
 
     const MB: u64 = 1 << 20;
@@ -1333,6 +1226,24 @@ mod recovery_tests {
             .with_jitter(0.0)
     }
 
+    /// What a recovered transfer cost.
+    #[derive(Debug, PartialEq)]
+    struct Episode {
+        /// Outcome of the final, successful attempt.
+        outcome: TransferOutcome,
+        /// Sessions started, including the first.
+        attempts: u32,
+        /// The restart offset each retry resumed from.
+        resumed_from: Vec<u64>,
+        /// Payload bytes delivered across every attempt.
+        payload_moved: u64,
+        /// Total time spent in backoff pauses.
+        backoff_total: SimDuration,
+    }
+
+    /// Runs `req` from a to b, retrying stalled sessions from their restart
+    /// marker until one completes (`None` once `policy` is exhausted). Each
+    /// attempt gets its own token range so stale watchdogs never collide.
     fn recover(
         sim: &mut NetSim,
         req: &TransferRequest,
@@ -1340,18 +1251,71 @@ mod recovery_tests {
         b: NodeId,
         policy: &RetryPolicy,
         seed: u64,
-    ) -> Result<RecoveredTransfer, TransferError> {
+    ) -> Option<Episode> {
+        const SESSION_TOKENS: u64 = 1 << 41;
+        const WAIT_TOKEN: u64 = 1 << 42;
         let mut rng = SimRng::seed_from_u64(seed);
-        run_transfer_with_recovery(
-            sim,
-            req,
-            &TransferEndpoint::unconstrained(a),
-            &TransferEndpoint::unconstrained(b),
-            &TcpParams::default(),
-            policy,
-            SimDuration::from_secs(1),
-            &mut rng,
-        )
+        let total = req.payload_bytes();
+        let (mut committed, mut attempts, mut payload_moved) = (0u64, 0u32, 0u64);
+        let mut resumed_from = Vec::new();
+        let mut backoff_total = SimDuration::ZERO;
+        loop {
+            let attempt_req = if committed == 0 {
+                *req
+            } else {
+                req.with_range(committed, total - committed)
+            };
+            let token_base =
+                SESSION_TOKENS + u64::from(attempts) * TransferSession::TOKENS_PER_SESSION;
+            let mut session = TransferSession::new(
+                attempt_req,
+                TransferEndpoint::unconstrained(a),
+                TransferEndpoint::unconstrained(b),
+                TcpParams::default(),
+                token_base,
+            )
+            .unwrap()
+            .with_stall_timeout(SimDuration::from_secs(1));
+            attempts += 1;
+            session.start(sim);
+            let failure = loop {
+                let event = sim.next_event().expect("session has pending work");
+                if !session.owns(&event) {
+                    continue; // stale watchdogs, fault notices
+                }
+                match session.handle(sim, &event) {
+                    SessionStatus::Complete(outcome) => {
+                        payload_moved += outcome.payload_bytes;
+                        return Some(Episode {
+                            outcome,
+                            attempts,
+                            resumed_from,
+                            payload_moved,
+                            backoff_total,
+                        });
+                    }
+                    SessionStatus::Failed(failure) => break failure,
+                    SessionStatus::InProgress => {}
+                }
+            };
+            committed += failure.restart_offset();
+            payload_moved += failure.delivered_payload;
+            if policy.exhausted(attempts) {
+                return None;
+            }
+            let pause = policy.backoff(attempts - 1, &mut rng);
+            backoff_total += pause;
+            sim.schedule_timer_after(pause, WAIT_TOKEN + u64::from(attempts));
+            while sim.next_event().expect("backoff timer is pending").kind
+                != EventKind::TimerFired(WAIT_TOKEN + u64::from(attempts))
+            {}
+            resumed_from.push(committed);
+        }
+    }
+
+    /// A 3 s outage of a->b starting at 2 s.
+    fn outage(fwd: LinkId) -> FaultPlan {
+        FaultPlan::new().link_down(SimTime::from_secs_f64(2.0), SimDuration::from_secs(3), fwd)
     }
 
     #[test]
@@ -1359,11 +1323,7 @@ mod recovery_tests {
         let (mut sim, a, b, fwd) = net();
         // 64 MiB at 80 Mbps needs ~6.7 s of data time; a 3 s outage at 2 s
         // forces one stall + one resumed attempt.
-        sim.install_fault_plan(FaultPlan::new().link_down(
-            SimTime::from_secs_f64(2.0),
-            SimDuration::from_secs(3),
-            fwd,
-        ));
+        sim.install_fault_plan(outage(fwd));
         let req = TransferRequest::new(64 * MB).with_parallelism(4);
         let rec = recover(&mut sim, &req, a, b, &policy(), 7).expect("recovers");
         assert!(rec.attempts >= 2, "must have retried: {rec:?}");
@@ -1381,25 +1341,21 @@ mod recovery_tests {
 
     #[test]
     fn stream_mode_restarts_from_zero_and_moves_more_bytes() {
-        let outage = |req: TransferRequest| {
+        let run = |req: TransferRequest| {
             let (mut sim, a, b, fwd) = net();
-            sim.install_fault_plan(FaultPlan::new().link_down(
-                SimTime::from_secs_f64(2.0),
-                SimDuration::from_secs(3),
-                fwd,
-            ));
+            sim.install_fault_plan(outage(fwd));
             recover(&mut sim, &req, a, b, &policy(), 7).expect("recovers")
         };
-        let mode_e = outage(TransferRequest::new(64 * MB).with_parallelism(4));
-        let stream = outage(TransferRequest::new(64 * MB));
+        let mode_e = run(TransferRequest::new(64 * MB).with_parallelism(4));
+        let stream = run(TransferRequest::new(64 * MB));
         assert!(stream.attempts >= 2);
         assert!(
             stream.resumed_from.iter().all(|&o| o == 0),
             "stream mode has no restart markers: {:?}",
             stream.resumed_from
         );
-        // The acceptance property: a resumed MODE E episode moves strictly
-        // fewer total bytes than restart-from-zero.
+        // A resumed MODE E episode moves strictly fewer total bytes than
+        // restart-from-zero.
         assert!(
             mode_e.payload_moved < stream.payload_moved,
             "resume {} vs restart {}",
@@ -1410,48 +1366,10 @@ mod recovery_tests {
     }
 
     #[test]
-    fn permanent_outage_exhausts_retries() {
-        let (mut sim, a, b, fwd) = net();
-        sim.install_fault_plan(FaultPlan::new().link_down(
-            SimTime::from_secs_f64(2.0),
-            SimDuration::from_secs(100_000),
-            fwd,
-        ));
-        let req = TransferRequest::new(64 * MB).with_parallelism(4);
-        let err = recover(&mut sim, &req, a, b, &policy().with_max_attempts(2), 7).unwrap_err();
-        match err {
-            TransferError::RetriesExhausted {
-                attempts,
-                delivered,
-            } => {
-                assert_eq!(attempts, 2);
-                assert!(delivered > 0, "first attempt committed a prefix");
-                assert!(delivered < 64 * MB);
-            }
-            other => panic!("unexpected error {other}"),
-        }
-    }
-
-    #[test]
-    fn connection_drop_is_detected_and_retried() {
-        let (mut sim, a, b, _) = net();
-        sim.install_fault_plan(FaultPlan::new().connection_drop(SimTime::from_secs_f64(2.0), b));
-        // 64 MiB at 80 Mbps takes ~6.7 s, so the drop at 2 s lands mid-data.
-        let req = TransferRequest::new(64 * MB).with_parallelism(2);
-        let rec = recover(&mut sim, &req, a, b, &policy(), 3).expect("recovers");
-        assert!(rec.attempts >= 2, "drop must force a retry");
-        assert!(rec.payload_moved >= 64 * MB);
-    }
-
-    #[test]
     fn recovery_is_deterministic_per_seed() {
         let run = |seed: u64| {
             let (mut sim, a, b, fwd) = net();
-            sim.install_fault_plan(FaultPlan::new().link_down(
-                SimTime::from_secs_f64(2.0),
-                SimDuration::from_secs(3),
-                fwd,
-            ));
+            sim.install_fault_plan(outage(fwd));
             let req = TransferRequest::new(64 * MB).with_parallelism(4);
             recover(&mut sim, &req, a, b, &RetryPolicy::default(), seed).expect("recovers")
         };

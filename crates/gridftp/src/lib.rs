@@ -53,10 +53,7 @@ pub mod session;
 pub mod transfer;
 
 pub use error::TransferError;
-pub use executor::{
-    run_transfer, run_transfer_with_recovery, RecoveredTransfer, TransferEndpoint, TransferFailure,
-    TransferSession,
-};
+pub use executor::{run_transfer, TransferEndpoint, TransferFailure, TransferSession};
 pub use mode::TransferMode;
 pub use retry::RetryPolicy;
 pub use transfer::{DataChannelProtection, Protocol, TransferOutcome, TransferRequest};
@@ -65,8 +62,7 @@ pub use transfer::{DataChannelProtection, Protocol, TransferOutcome, TransferReq
 pub mod prelude {
     pub use crate::error::TransferError;
     pub use crate::executor::{
-        run_transfer, run_transfer_with_recovery, RecoveredTransfer, SessionStatus,
-        TransferEndpoint, TransferFailure, TransferSession,
+        run_transfer, SessionStatus, TransferEndpoint, TransferFailure, TransferSession,
     };
     pub use crate::gsi::GsiConfig;
     pub use crate::instrument::{protocol_label, span_from_outcome};

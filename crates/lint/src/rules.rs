@@ -64,7 +64,7 @@ impl Default for Config {
                 // Summary statistics order NaN-free samples exactly.
                 "crates/simnet/src/stats.rs",
             ]),
-            watched_enums: to_owned(&["EventKind", "FaultKind", "ModelPhase", "ReplayStatus"]),
+            watched_enums: to_owned(&["EventKind", "FaultKind", "FetchPhase", "ReplayStatus"]),
         }
     }
 }

@@ -50,6 +50,14 @@ step_profile_smoke() { step profile-smoke scripts/profile_smoke.sh target/BENCH_
 # agree across paired engine configurations, and the harness must catch
 # its own sabotage (scripts/fuzz_smoke.sh).
 step_fuzz_smoke() { step fuzz-smoke scripts/fuzz_smoke.sh; }
+# Replay benchmark tests: perfbench is a workspace of its own that builds
+# against the repository's crates by path, so this is where a change to
+# their public API breaks it. The tests also pin that every workload's
+# fetch digest is reproducible from its seed.
+step_perfbench() {
+  CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target/perfbench}" \
+    step perfbench cargo test --release --offline --manifest-path perfbench/Cargo.toml
+}
 
 if [ $# -gt 0 ]; then
   for sel in "$@"; do
@@ -65,6 +73,7 @@ else
   step_bench_smoke
   step_profile_smoke
   step_fuzz_smoke
+  step_perfbench
 fi
 
 echo "==> ci OK"

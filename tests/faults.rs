@@ -3,19 +3,22 @@
 //! recovery ladder — stall watchdog, backoff retries with MODE E restart
 //! markers, suspect marking and next-best-replica failover.
 
-use datagrid::gridftp::transfer::TransferRequest;
+use datagrid::obs::Value;
 use datagrid::prelude::*;
 
 const MB: u64 = 1 << 20;
 
-/// The paper testbed with `file-a` replicated at the Table 1 sites and
-/// monitoring warmed long enough for the canonical ranking to settle.
-fn fault_grid(seed: u64, file_mb: u64) -> DataGrid {
+/// The Table 1 replica sites.
+const TABLE1_SITES: [&str; 3] = ["alpha4", "hit0", "lz02"];
+
+/// The paper testbed with `file-a` replicated at `sites` and monitoring
+/// warmed long enough for the canonical ranking to settle.
+fn fault_grid(seed: u64, file_mb: u64, sites: &[&str]) -> DataGrid {
     let mut grid = paper_testbed(seed).build();
     grid.catalog_mut()
         .register_logical("file-a".parse().unwrap(), file_mb * MB)
         .unwrap();
-    for host in ["alpha4", "hit0", "lz02"] {
+    for &host in sites {
         grid.place_replica("file-a", canonical_host(host)).unwrap();
     }
     grid.warm_up(SimDuration::from_secs(300));
@@ -38,7 +41,7 @@ fn quick_recovery() -> RecoveryOptions {
 /// candidate, with the whole episode visible in the observability layer.
 #[test]
 fn blackout_of_top_replica_fails_over_mid_transfer() {
-    let mut grid = fault_grid(20050905, 1024);
+    let mut grid = fault_grid(20050905, 1024, &TABLE1_SITES);
     let client = grid.host_id("alpha1").unwrap();
     let top = grid.score_candidates(client, "file-a").unwrap()[0].clone();
     assert_eq!(top.host_name, "alpha4", "canonical Table 1 winner");
@@ -92,15 +95,28 @@ fn blackout_of_top_replica_fails_over_mid_transfer() {
     assert_eq!(decision.winner, "gridhit0");
 }
 
+/// The `u64` field `key` of every recorded event of `kind`, in order.
+fn event_field(grid: &DataGrid, kind: &str, key: &str) -> Vec<u64> {
+    grid.recorder()
+        .events()
+        .filter(|e| e.kind == kind)
+        .map(|e| match e.field(key) {
+            Some(Value::U64(v)) => *v,
+            other => panic!("{kind}.{key} is {other:?}"),
+        })
+        .collect()
+}
+
 /// The restart-marker acceptance property at grid level: a transient
-/// outage costs a MODE E transfer nothing but time, while a stream-mode
-/// transfer re-sends everything it had already delivered.
+/// outage of a file's only replica costs a MODE E fetch nothing but time,
+/// while a stream-mode fetch re-sends everything it had already
+/// delivered.
 #[test]
 fn resumed_transfers_move_fewer_bytes_than_restart_from_zero() {
-    let outage = |req: TransferRequest| {
-        let mut grid = fault_grid(777, 256);
+    let outage = |parallelism: u32| {
+        let mut grid = fault_grid(777, 256, &["alpha4"]);
         let src = grid.host_id("alpha4").unwrap();
-        let dst = grid.host_id("alpha1").unwrap();
+        let client = grid.host_id("alpha1").unwrap();
         grid.install_fault_plan(FaultPlan::new().host_blackout(
             grid.now() + SimDuration::from_secs(1),
             SimDuration::from_secs(2),
@@ -109,20 +125,35 @@ fn resumed_transfers_move_fewer_bytes_than_restart_from_zero() {
         let recovery = RecoveryOptions::default()
             .with_retry(RetryPolicy::default().with_base_backoff(SimDuration::from_secs(1)))
             .with_stall_timeout(SimDuration::from_secs(1));
-        grid.transfer_between_with_recovery(src, dst, req, &recovery)
-            .expect("the outage is transient")
+        let rec = grid
+            .fetch_with_recovery(
+                client,
+                "file-a",
+                FetchOptions::default().with_parallelism(parallelism),
+                &recovery,
+            )
+            .expect("the outage is transient");
+        let resumed_from = event_field(&grid, "transfer.retry", "resume_offset");
+        (rec, resumed_from)
     };
 
-    let mode_e = outage(TransferRequest::new(256 * MB).with_parallelism(4));
-    let stream = outage(TransferRequest::new(256 * MB));
+    let (mode_e, mode_e_resumed) = outage(4);
+    let (stream, stream_resumed) = outage(0);
 
-    assert!(mode_e.attempts >= 2, "the fault interrupted the transfer");
-    assert!(stream.attempts >= 2, "the fault interrupted the transfer");
+    for (rec, resumed) in [(&mode_e, &mode_e_resumed), (&stream, &stream_resumed)] {
+        assert!(rec.attempts >= 2, "the fault interrupted the transfer");
+        assert!(rec.failed_over.is_empty(), "the only replica recovers");
+        assert_eq!(
+            resumed.len() as u32,
+            rec.attempts - 1,
+            "one retry per resume"
+        );
+    }
     // The final MODE E session only carried the tail beyond the last
     // restart marker; the stream-mode restart re-sent the whole file.
-    let resumed_at = *mode_e.resumed_from.last().unwrap();
-    assert_eq!(resumed_at + mode_e.outcome.payload_bytes, 256 * MB);
-    assert_eq!(stream.outcome.payload_bytes, 256 * MB);
+    let resumed_at = *mode_e_resumed.last().unwrap();
+    assert_eq!(resumed_at + mode_e.report.transfer.payload_bytes, 256 * MB);
+    assert_eq!(stream.report.transfer.payload_bytes, 256 * MB);
     // MODE E resumed from the last committed byte, so the wire moved the
     // payload exactly once; stream mode re-sent the pre-fault bytes.
     assert_eq!(mode_e.payload_moved, 256 * MB);
@@ -132,15 +163,74 @@ fn resumed_transfers_move_fewer_bytes_than_restart_from_zero() {
         mode_e.payload_moved,
         stream.payload_moved
     );
-    assert!(mode_e.resumed_from.iter().any(|&o| o > 0));
-    assert!(stream.resumed_from.iter().all(|&o| o == 0));
+    assert!(mode_e_resumed.iter().any(|&o| o > 0));
+    assert!(stream_resumed.iter().all(|&o| o == 0));
+}
+
+/// A permanent outage of a file's only replica spends that replica's
+/// retries, abandons it with the committed prefix on record, and leaves
+/// no candidate to fail over to.
+#[test]
+fn permanent_outage_of_the_only_replica_exhausts_its_retries() {
+    let mut grid = fault_grid(20050905, 256, &["alpha4"]);
+    let src = grid.host_id("alpha4").unwrap();
+    let client = grid.host_id("alpha1").unwrap();
+    grid.install_fault_plan(FaultPlan::new().host_blackout(
+        grid.now() + SimDuration::from_secs(1),
+        SimDuration::from_secs(100_000),
+        grid.node_of(src),
+    ));
+    let err = grid
+        .fetch_with_recovery(
+            client,
+            "file-a",
+            FetchOptions::default().with_parallelism(4),
+            &quick_recovery(),
+        )
+        .expect_err("the only replica never comes back");
+    match err {
+        GridError::AllReplicasFailed { failed, .. } => assert_eq!(failed, vec!["alpha4"]),
+        other => panic!("unexpected error {other:?}"),
+    }
+    assert_eq!(
+        event_field(&grid, "transfer.abandoned", "attempts"),
+        vec![2]
+    );
+    let delivered = event_field(&grid, "transfer.abandoned", "delivered")[0];
+    assert!(delivered > 0, "the first attempt committed a prefix");
+    assert!(delivered < 256 * MB);
+}
+
+/// A dropped connection is noticed by the stall watchdog and the fetch
+/// retries the same replica.
+#[test]
+fn connection_drop_is_detected_and_retried() {
+    let mut grid = fault_grid(3, 256, &["alpha4"]);
+    let client = grid.host_id("alpha1").unwrap();
+    // 256 MiB over the 1 Gbps LAN takes over 2 s, so a drop at +1 s lands
+    // mid-data.
+    grid.install_fault_plan(
+        FaultPlan::new()
+            .connection_drop(grid.now() + SimDuration::from_secs(1), grid.node_of(client)),
+    );
+    let rec = grid
+        .fetch_with_recovery(
+            client,
+            "file-a",
+            FetchOptions::default().with_parallelism(2),
+            &quick_recovery(),
+        )
+        .expect("the replica is still up");
+    assert!(rec.attempts >= 2, "the drop forces a retry");
+    assert!(rec.failed_over.is_empty());
+    assert!(rec.payload_moved >= 256 * MB);
 }
 
 /// When every replica is dark the fetch reports the full casualty list
 /// instead of spinning forever.
 #[test]
 fn all_replicas_dark_is_reported_with_the_casualty_list() {
-    let mut grid = fault_grid(20050905, 256);
+    let mut grid = fault_grid(20050905, 256, &TABLE1_SITES);
     let client = grid.host_id("alpha1").unwrap();
     let at = grid.now() + SimDuration::from_secs(1);
     let mut plan = FaultPlan::new();

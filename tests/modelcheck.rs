@@ -5,7 +5,8 @@
 //! the observability layer's metrics, events and audit entries exactly
 //! consistent with the outcomes.
 
-use datagrid::core::grid::modelcheck::{explore, FetchModel, ModelPhase};
+use datagrid::core::grid::modelcheck::{explore, FetchModel};
+use datagrid::core::grid::replay::FetchPhase;
 use datagrid::prelude::*;
 
 const MB: u64 = 1 << 20;
@@ -88,7 +89,7 @@ fn check_cell(cell: &Cell, seed: u64) {
             ReplayStatus::Completed { bytes, .. } => {
                 assert_eq!(*bytes, size, "{}: short delivery", outcome.client);
                 assert!(
-                    exploration.admits_outcome(ModelPhase::Completed, outcome.failovers),
+                    exploration.admits_outcome(FetchPhase::Completed, outcome.failovers),
                     "{}: Completed after {} failovers is model-unreachable",
                     outcome.client,
                     outcome.failovers
@@ -99,7 +100,7 @@ fn check_cell(cell: &Cell, seed: u64) {
             ReplayStatus::Failed { failed } => {
                 assert_eq!(failed.len() as u32, outcome.failovers);
                 assert!(
-                    exploration.admits_outcome(ModelPhase::Failed, outcome.failovers),
+                    exploration.admits_outcome(FetchPhase::Failed, outcome.failovers),
                     "{}: Failed after {} failovers is model-unreachable",
                     outcome.client,
                     outcome.failovers
