@@ -26,6 +26,7 @@
 //!   buffers are owned scratch, reused across events.
 
 use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -226,6 +227,8 @@ struct FlowState {
     /// Bytes outstanding as of `last_update` (not "now": settling is lazy).
     remaining: f64,
     cap_bps: f64,
+    /// Interned `(src, dst, cap)` class (see [`FlowClasses`]).
+    class: u32,
     /// Allocated rate; `NAN` until the first solve touches the flow, which
     /// guarantees the first solve always observes a rate change.
     rate_bps: f64,
@@ -252,6 +255,84 @@ struct FaultRecord {
     active: bool,
 }
 
+/// Interning key of a flow class: the endpoints fix the route, plus the
+/// cap's bit pattern.
+type ClassKey = (NodeId, NodeId, u64);
+
+/// Interned flow classes. Flows with the same endpoints (hence the same
+/// route) and the same cap always receive the same max-min rate, so the
+/// progressive fill runs once per class, weighted by its member count.
+///
+/// Keyed on the node pair, not on the route `Arc`'s address, so class
+/// identity never depends on the allocator. Entries are reference-counted:
+/// the last member leaving releases its class, and released ids are reused
+/// before the table grows, so the table holds only live classes.
+#[derive(Debug, Clone, Default)]
+struct FlowClasses {
+    /// Key -> (class id, live members). Looked up only, never iterated.
+    ids: HashMap<ClassKey, (u32, u32)>,
+    /// Released ids, reused before new ones are minted.
+    free: Vec<u32>,
+    /// Exclusive upper bound of the ids minted so far.
+    bound: u32,
+}
+
+impl FlowClasses {
+    /// Adds a member to the class of `(src, dst, cap_bps)`, interning it
+    /// on first use; returns the class id.
+    fn join(&mut self, src: NodeId, dst: NodeId, cap_bps: f64) -> u32 {
+        let FlowClasses { ids, free, bound } = self;
+        let (id, members) = ids.entry((src, dst, cap_bps.to_bits())).or_insert_with(|| {
+            let id = free.pop().unwrap_or(*bound);
+            if id == *bound {
+                *bound = bound.checked_add(1).expect("too many flow classes");
+            }
+            (id, 0)
+        });
+        *members += 1;
+        *id
+    }
+
+    /// Removes a member from the class of `(src, dst, cap_bps)`,
+    /// releasing the class when its last member leaves.
+    fn leave(&mut self, src: NodeId, dst: NodeId, cap_bps: f64) {
+        let Entry::Occupied(mut class) = self.ids.entry((src, dst, cap_bps.to_bits())) else {
+            unreachable!("a live flow's class is interned");
+        };
+        class.get_mut().1 -= 1;
+        if class.get().1 == 0 {
+            self.free.push(class.remove().0);
+        }
+    }
+
+    /// Exclusive upper bound of the class ids in use.
+    fn id_bound(&self) -> usize {
+        self.bound as usize
+    }
+
+    /// Live classes.
+    #[cfg(test)]
+    fn live(&self) -> usize {
+        self.ids.len()
+    }
+
+    fn footprint(&self) -> usize {
+        self.ids.capacity() + self.free.capacity()
+    }
+
+    /// Retires trailing released ids and releases spare capacity; live
+    /// ids never change.
+    fn shrink(&mut self) {
+        self.free.sort_unstable();
+        while self.bound > 0 && self.free.last() == Some(&(self.bound - 1)) {
+            self.free.pop();
+            self.bound -= 1;
+        }
+        self.ids.shrink_to_fit();
+        self.free.shrink_to_fit();
+    }
+}
+
 /// Reusable scratch for walking a connected component of the flow/link
 /// graph. Stamped mark arrays (generation counters) make `begin` O(1)
 /// instead of clearing marks for every flow slot and link.
@@ -264,6 +345,16 @@ struct CompScratch {
     flows: Vec<u32>,
     /// Global link indices in the component, in discovery order.
     links: Vec<u32>,
+    /// Class id -> its fill entry; valid only where `entry_class`
+    /// points back (a sparse set, so grouping needs no clearing).
+    class_entry: Vec<u32>,
+    /// Per fill entry: its class id.
+    entry_class: Vec<u32>,
+    /// Per fill entry: the slot of its first member, which supplies the
+    /// entry's route and cap.
+    entry_slot: Vec<u32>,
+    /// Per fill entry: its members in the component.
+    entry_weight: Vec<u32>,
 }
 
 impl CompScratch {
@@ -321,6 +412,10 @@ impl CompScratch {
             + self.link_stamp.capacity()
             + self.flows.capacity()
             + self.links.capacity()
+            + self.class_entry.capacity()
+            + self.entry_class.capacity()
+            + self.entry_slot.capacity()
+            + self.entry_weight.capacity()
     }
 
     /// Trims the stamp arrays to the current `flow_slots`/`links` extents
@@ -332,9 +427,48 @@ impl CompScratch {
         self.flow_stamp.shrink_to_fit();
         self.link_stamp.truncate(links);
         self.link_stamp.shrink_to_fit();
-        // Covers this line and the next:
+        // Each allow covers its own line and the next:
         self.flows = Vec::new(); // lint: allow(alloc-in-hot-path) -- Vec::new is alloc-free; auto-shrink releases capacity
         self.links = Vec::new();
+        self.class_entry = Vec::new(); // lint: allow(alloc-in-hot-path) -- Vec::new is alloc-free; auto-shrink releases capacity
+        self.entry_class = Vec::new();
+        self.entry_slot = Vec::new(); // lint: allow(alloc-in-hot-path) -- Vec::new is alloc-free; auto-shrink releases capacity
+        self.entry_weight = Vec::new();
+    }
+
+    /// Groups the component's flows by class, numbering one fill entry
+    /// per class in first-member order and weighting it by its members.
+    /// O(flows) array work, no hashing. `classes` bounds the class ids.
+    fn group_classes(&mut self, flows: &[Option<FlowState>], classes: usize) {
+        if self.class_entry.len() < classes {
+            self.class_entry.resize(classes, 0);
+        }
+        self.entry_class.clear();
+        self.entry_slot.clear();
+        self.entry_weight.clear();
+        for &slot in &self.flows {
+            let class = flows[slot as usize]
+                .as_ref()
+                .expect("component flow is live")
+                .class;
+            let e = self.class_entry[class as usize] as usize;
+            if e < self.entry_class.len() && self.entry_class[e] == class {
+                self.entry_weight[e] += 1;
+            } else {
+                self.class_entry[class as usize] =
+                    u32::try_from(self.entry_class.len()).expect("entries fit the slot space");
+                self.entry_class.push(class);
+                self.entry_slot.push(slot);
+                self.entry_weight.push(1);
+            }
+        }
+    }
+
+    /// The flow standing for fill entry `e` of the last grouping.
+    fn entry_flow<'f>(&self, flows: &'f [Option<FlowState>], e: usize) -> &'f FlowState {
+        flows[self.entry_slot[e] as usize]
+            .as_ref()
+            .expect("component flow is live")
     }
 
     /// Breadth-first closure: every flow crossing a reached link is added,
@@ -405,6 +539,10 @@ pub struct EngineStats {
     /// Total flows handed to the solver across all solves — the real work
     /// measure behind the incremental-vs-full speedup.
     pub solver_flows_touched: u64,
+    /// Fill entries across all solves: one per (route, cap) class of an
+    /// incremental solve's component. Full solves fill per flow, so there
+    /// every flow is its own entry.
+    pub solver_classes_touched: u64,
     /// Same-instant event cohorts handled as one batch (two or more
     /// internal events sharing a timestamp; see
     /// [`NetSim::set_event_batching`]).
@@ -441,6 +579,8 @@ pub struct NetSim {
     id_slots: HashMap<FlowId, u32>,
     /// Per-link index: slots of the flows crossing each link.
     link_flows: Vec<Vec<u32>>,
+    /// Live flows' (route, cap) classes.
+    classes: FlowClasses,
     /// Live flows of any class.
     active_flows: usize,
     /// Live user/probe flows (public work).
@@ -514,6 +654,7 @@ impl NetSim {
             free_slots: Vec::new(),
             id_slots: HashMap::new(),
             link_flows: vec![Vec::new(); link_count],
+            classes: FlowClasses::default(),
             active_flows: 0,
             public_flows: 0,
             queue: EventQueue::new(),
@@ -968,8 +1109,9 @@ impl NetSim {
     }
 
     /// Total element capacity held by the reusable scratch structures: the
-    /// flow slab, free list, per-link flow indexes, stamped component
-    /// walkers and solver buffers (both the settle path's and the probe's).
+    /// flow slab, free list, per-link flow indexes, flow-class table,
+    /// stamped component walkers and solver buffers (both the settle
+    /// path's and the probe's).
     ///
     /// This is the high-water mark left behind by the busiest moment the
     /// engine has seen; pair with [`NetSim::shrink_scratch`] to measure and
@@ -983,6 +1125,7 @@ impl NetSim {
                 .iter()
                 .map(std::vec::Vec::capacity)
                 .sum::<usize>()
+            + self.classes.footprint()
             + self.comp.footprint()
             + self.solver.scratch_capacity()
             + probe.comp.footprint()
@@ -1020,6 +1163,7 @@ impl NetSim {
         for per_link in &mut self.link_flows {
             per_link.shrink_to_fit();
         }
+        self.classes.shrink();
         let links = self.link_caps.len();
         self.comp.shrink(slots, links);
         self.solver.shrink();
@@ -1176,6 +1320,7 @@ impl NetSim {
         }
         let id = FlowId(self.next_flow);
         self.next_flow += 1;
+        let cap_bps = spec.cap.map_or(f64::INFINITY, Bandwidth::as_bps);
         let state = FlowState {
             id,
             src: spec.src,
@@ -1183,7 +1328,8 @@ impl NetSim {
             route: Arc::clone(&route),
             total_bytes: spec.bytes,
             remaining: spec.bytes as f64,
-            cap_bps: spec.cap.map_or(f64::INFINITY, Bandwidth::as_bps),
+            cap_bps,
+            class: self.classes.join(spec.src, spec.dst, cap_bps),
             rate_bps: f64::NAN,
             started: self.now,
             last_update: self.now,
@@ -1236,10 +1382,12 @@ impl NetSim {
             return false;
         };
         let slot = slot as usize;
-        self.flows[slot]
-            .as_mut()
-            .expect("indexed flow is live")
-            .cap_bps = cap.as_bps();
+        let f = self.flows[slot].as_mut().expect("indexed flow is live");
+        let old_cap = f.cap_bps;
+        f.cap_bps = cap.as_bps();
+        // Join before leaving, so an unchanged cap keeps its class id.
+        f.class = self.classes.join(f.src, f.dst, f.cap_bps);
+        self.classes.leave(f.src, f.dst, old_cap);
         self.net_version += 1;
         self.reallocate_for_flow(slot);
         true
@@ -1300,37 +1448,39 @@ impl NetSim {
             comp.add_link(l);
         }
         comp.expand(&self.flows, &self.link_flows);
-        let n = comp.flows.len();
+        comp.group_classes(&self.flows, self.classes.id_bound());
+        // The phantom flow is its own weight-1 entry, after the classes.
+        let k = comp.entry_slot.len();
         let flows = &self.flows;
-        let comp_flows = &comp.flows;
+        let comp = &*comp;
         let phantom_cap = cap.map_or(f64::INFINITY, Bandwidth::as_bps);
         let rates = solver.solve_with(
-            n + 1,
-            |i| {
-                if i < comp_flows.len() {
-                    flows[comp_flows[i] as usize]
-                        .as_ref()
-                        .expect("indexed flow is live")
-                        .route
-                        .as_ref()
+            k + 1,
+            |e| {
+                if e < k {
+                    comp.entry_flow(flows, e).route.as_ref()
                 } else {
                     path.links()
                 }
             },
-            |i| {
-                if i < comp_flows.len() {
-                    flows[comp_flows[i] as usize]
-                        .as_ref()
-                        .expect("indexed flow is live")
-                        .cap_bps
+            |e| {
+                if e < k {
+                    comp.entry_flow(flows, e).cap_bps
                 } else {
                     phantom_cap
+                }
+            },
+            |e| {
+                if e < k {
+                    comp.entry_weight[e] as usize
+                } else {
+                    1
                 }
             },
             &comp.links,
             &self.link_caps,
         );
-        Bandwidth::from_bps(rates[n])
+        Bandwidth::from_bps(rates[k])
     }
 
     /// Instantaneous utilisation (0–1) of a directed link. O(flows crossing
@@ -1693,6 +1843,7 @@ impl NetSim {
     fn remove_flow(&mut self, slot: usize) -> FlowState {
         let f = self.flows[slot].take().expect("remove of dead slot");
         self.id_slots.remove(&f.id);
+        self.classes.leave(f.src, f.dst, f.cap_bps);
         for &l in f.route.iter() {
             let lf = &mut self.link_flows[l.index()];
             let pos = lf
@@ -1766,34 +1917,32 @@ impl NetSim {
         if self.validate {
             self.snapshot_transition();
         }
+        self.comp
+            .group_classes(&self.flows, self.classes.id_bound());
+        let k = self.comp.entry_slot.len();
         self.stats.incremental_solves += 1;
         self.stats.solver_flows_touched += n as u64;
+        self.stats.solver_classes_touched += k as u64;
         {
             let flows = &self.flows;
-            let comp_flows = &self.comp.flows;
+            let comp = &self.comp;
             self.solver.solve_with(
-                n,
-                |i| {
-                    flows[comp_flows[i] as usize]
-                        .as_ref()
-                        .expect("component flow is live")
-                        .route
-                        .as_ref()
-                },
-                |i| {
-                    flows[comp_flows[i] as usize]
-                        .as_ref()
-                        .expect("component flow is live")
-                        .cap_bps
-                },
-                &self.comp.links,
+                k,
+                |e| comp.entry_flow(flows, e).route.as_ref(),
+                |e| comp.entry_flow(flows, e).cap_bps,
+                |e| comp.entry_weight[e] as usize,
+                &comp.links,
                 &self.link_caps,
             );
         }
+        // Settle and reschedule per flow, in component order: the event
+        // queue breaks completion ties FIFO.
         for i in 0..n {
             let slot = self.comp.flows[i] as usize;
-            let new_rate = self.solver.rate(i);
             let f = self.flows[slot].as_ref().expect("component flow is live");
+            let new_rate = self
+                .solver
+                .take_member_rate(self.comp.class_entry[f.class as usize] as usize);
             // NAN (never solved) compares unequal to everything, so a new
             // flow always falls through to scheduling.
             if f.rate_bps == new_rate {
@@ -1828,13 +1977,16 @@ impl NetSim {
 
     /// Full-mode baseline: settle every flow, solve the whole grid from
     /// scratch, reschedule every completion — the engine's behaviour
-    /// before per-link indexes.
+    /// before per-link indexes. The fill runs per flow, not per class, so
+    /// `SolverMode::Full` stays the per-flow reference the class fill is
+    /// differentially tested against.
     fn resolve_everything(&mut self) {
         if self.validate {
             self.snapshot_transition();
         }
         self.stats.full_solves += 1;
         self.stats.solver_flows_touched += self.active_flows as u64;
+        self.stats.solver_classes_touched += self.active_flows as u64;
         self.comp.begin(self.flows.len(), self.link_caps.len());
         for slot in 0..self.flows.len() {
             if self.flows[slot].is_some() {
@@ -1861,6 +2013,7 @@ impl NetSim {
                         .expect("live flow")
                         .cap_bps
                 },
+                |_| 1,
                 &self.all_links,
                 &self.link_caps,
             );
@@ -2969,5 +3122,110 @@ mod batch_tests {
         assert_eq!(timeline[0].2, 3_000_000);
         sim.verify_allocation()
             .expect("certificate after drop cohort");
+    }
+}
+
+#[cfg(test)]
+mod class_tests {
+    use super::*;
+    use crate::topology::LinkSpec;
+
+    /// a, b, c around one hub; 100 Mbps / 1 ms everywhere.
+    fn hub() -> (Topology, NodeId, NodeId, NodeId) {
+        let mut topo = Topology::new();
+        let a = topo.add_node("a");
+        let b = topo.add_node("b");
+        let c = topo.add_node("c");
+        let hub = topo.add_node("hub");
+        let spec = || LinkSpec::new(Bandwidth::from_mbps(100.0), SimDuration::from_millis(1));
+        topo.add_duplex_link(a, hub, spec());
+        topo.add_duplex_link(b, hub, spec());
+        topo.add_duplex_link(c, hub, spec());
+        (topo, a, b, c)
+    }
+
+    /// Flow `i` of the 4-class population: a -> b or a -> c, capped at
+    /// 20 Mbps or uncapped.
+    fn spec(i: usize, a: NodeId, b: NodeId, c: NodeId) -> FlowSpec {
+        let dst = if i.is_multiple_of(2) { b } else { c };
+        let spec = FlowSpec::new(a, dst, 1_000_000 + (i as u64) * 10_000);
+        if i % 4 < 2 {
+            spec.with_cap(Bandwidth::from_mbps(20.0))
+        } else {
+            spec
+        }
+    }
+
+    #[test]
+    fn hub_flows_fill_over_at_most_four_classes() {
+        let (topo, a, b, c) = hub();
+        let mut sim = NetSim::new(topo, 1);
+        let mut last = sim.stats();
+        let mut check = |sim: &NetSim| {
+            let s = sim.stats();
+            let solves = s.incremental_solves - last.incremental_solves;
+            let classes = s.solver_classes_touched - last.solver_classes_touched;
+            assert!(solves <= 1, "one solve per step");
+            assert!(
+                classes <= 4 * solves,
+                "{classes} classes over {solves} solve(s)"
+            );
+            last = s;
+        };
+        for i in 0..256 {
+            sim.start_flow(spec(i, a, b, c));
+            check(&sim);
+        }
+        assert_eq!(sim.classes.live(), 4);
+        while sim.next_event().is_some() {
+            check(&sim);
+        }
+        let s = sim.stats();
+        assert!(s.incremental_solves > 256);
+        assert!(s.solver_flows_touched > 30 * s.solver_classes_touched);
+        assert_eq!(sim.classes.live(), 0);
+    }
+
+    #[test]
+    fn full_mode_fills_per_flow() {
+        let (topo, a, b, c) = hub();
+        let mut sim = NetSim::new(topo, 1);
+        sim.set_solver_mode(SolverMode::Full);
+        for i in 0..16 {
+            sim.start_flow(spec(i, a, b, c));
+        }
+        while sim.next_event().is_some() {}
+        let s = sim.stats();
+        assert!(s.full_solves > 0);
+        assert_eq!(s.solver_classes_touched, s.solver_flows_touched);
+    }
+
+    #[test]
+    fn class_table_drains_to_zero_live_classes() {
+        let (topo, a, b, c) = hub();
+        let mut sim = NetSim::new(topo, 1);
+        let ids: Vec<FlowId> = (0..64).map(|i| sim.start_flow(spec(i, a, b, c))).collect();
+        assert_eq!(sim.classes.live(), 4);
+        // Moving flows between classes re-interns them; an unchanged cap
+        // keeps the class.
+        assert!(sim.set_flow_cap(ids[0], Bandwidth::from_mbps(7.0)));
+        assert!(sim.set_flow_cap(ids[1], Bandwidth::from_mbps(7.0)));
+        assert_eq!(sim.classes.live(), 6);
+        assert!(sim.set_flow_cap(ids[0], Bandwidth::from_mbps(7.0)));
+        assert_eq!(sim.classes.live(), 6);
+        assert!(sim.set_flow_cap(ids[0], Bandwidth::from_mbps(20.0)));
+        assert_eq!(sim.classes.live(), 5);
+        let bound = sim.classes.id_bound();
+        sim.abort_flow(ids[1]);
+        assert_eq!(sim.classes.live(), 4);
+        // A released id is reused before the table grows.
+        sim.start_flow(FlowSpec::new(b, c, 1_000).with_cap(Bandwidth::from_mbps(3.0)));
+        assert_eq!(sim.classes.id_bound(), bound);
+        while sim.next_event().is_some() {}
+        assert_eq!(sim.active_flow_count(), 0);
+        assert_eq!(sim.classes.live(), 0);
+        sim.shrink_scratch();
+        assert_eq!(sim.classes.id_bound(), 0);
+        assert_eq!(sim.classes.footprint(), 0);
     }
 }

@@ -23,7 +23,9 @@
 //!   performs **no heap allocation**. The caller names the exact set of
 //!   links in play, which lets the engine re-solve only the connected
 //!   component of links/flows perturbed by an event instead of the whole
-//!   grid.
+//!   grid. An entry may stand for several flows with one route and one
+//!   cap (weighted by their count), so the engine fills once per (route,
+//!   cap) class with rates bit-identical to the per-flow fill.
 
 use crate::topology::LinkId;
 
@@ -56,12 +58,21 @@ fn users_to_f64(users: usize) -> f64 {
 /// A reusable progressive-filling solver.
 ///
 /// The solver owns every buffer the algorithm needs; buffers grow to the
-/// high-water mark of flows/links seen and are reused afterwards, so
+/// high-water mark of entries/links seen and are reused afterwards, so
 /// repeated calls allocate nothing. Per-link state (`remaining`, `users`)
 /// is indexed by **global** link id but only the entries named in the
 /// `links` argument of [`MaxMinSolver::solve_with`] are initialised and
 /// read — solving a 3-flow component of a 10 000-link grid touches 3 flows
 /// and their links, nothing else.
+///
+/// An *entry* of the fill is either one flow (weight 1) or a class of
+/// flows that share one route and one cap (weight = member count). Such
+/// flows always reach the same max-min rate: the fill freezes them at the
+/// same step, because every freeze test reads only the cap, the route and
+/// the fill level. A weighted entry adds its weight to each link's user
+/// count, so the per-link counts are the same integers the per-flow fill
+/// holds, and every level, delta and freeze decision is the same — the
+/// rates are bit-identical.
 ///
 /// ```
 /// use datagrid_simnet::flow::MaxMinSolver;
@@ -73,6 +84,7 @@ fn users_to_f64(users: usize) -> f64 {
 ///     2,
 ///     |i| routes[i].as_slice(),
 ///     |_| f64::INFINITY,
+///     |_| 1,
 ///     &[0],
 ///     &[100.0],
 /// );
@@ -82,12 +94,16 @@ fn users_to_f64(users: usize) -> f64 {
 #[derive(Debug, Clone, Default)]
 pub struct MaxMinSolver {
     rate: Vec<f64>,
-    frozen: Vec<bool>,
+    /// Unfrozen members per entry; an entry is frozen once this is 0.
+    left: Vec<usize>,
     cap: Vec<f64>,
     /// Remaining capacity per global link id (valid only for links in play).
     remaining: Vec<f64>,
     /// Unfrozen flow count per global link id (valid only for links in play).
     users: Vec<usize>,
+    /// `(entry, rate)` of each member the no-freeze fallback froze while
+    /// the rest of its entry stayed unfrozen, in freeze order.
+    singles: Vec<(usize, f64)>,
 }
 
 impl MaxMinSolver {
@@ -99,36 +115,42 @@ impl MaxMinSolver {
     /// Element capacity currently held by the reusable buffers.
     pub fn scratch_capacity(&self) -> usize {
         self.rate.capacity()
-            + self.frozen.capacity()
+            + self.left.capacity()
             + self.cap.capacity()
             + self.remaining.capacity()
             + self.users.capacity()
+            + self.singles.capacity()
     }
 
     /// Releases the reusable buffers (they regrow on the next solve).
-    /// Buffers retain the high-water flow/link counts otherwise; the
+    /// Buffers retain the high-water entry/link counts otherwise; the
     /// engine calls this from [`crate::engine::NetSim::shrink_scratch`].
     pub fn shrink(&mut self) {
         // Each allow covers its own line and the next:
         self.rate = Vec::new(); // lint: allow(alloc-in-hot-path) -- Vec::new is alloc-free; shrink releases capacity
-        self.frozen = Vec::new();
+        self.left = Vec::new();
         self.cap = Vec::new(); // lint: allow(alloc-in-hot-path) -- Vec::new is alloc-free; shrink releases capacity
         self.remaining = Vec::new();
         self.users = Vec::new(); // lint: allow(alloc-in-hot-path) -- Vec::new is alloc-free; shrink releases capacity
+        self.singles = Vec::new();
     }
 
-    /// Computes the max-min fair allocation for `n` flows.
+    /// Computes the max-min fair allocation for `n` entries.
     ///
-    /// * `route(i)` / `cap_bps(i)` describe flow `i` (routes may be asked
+    /// * `route(i)` / `cap_bps(i)` describe entry `i` (routes may be asked
     ///   for repeatedly; both must be pure).
+    /// * `weight(i)` is the number of flows entry `i` stands for: all of
+    ///   them share its route and cap. Per-flow callers pass `|_| 1`.
     /// * `links` lists the distinct global link indices in play: every link
     ///   appearing in any route must be present exactly once. Links outside
     ///   the list are never read or written.
     /// * `link_capacity_bps` is the global capacity array, indexed by link
     ///   id.
     ///
-    /// Returns the rates for flows `0..n`, borrowed from the solver's
-    /// internal buffer (valid until the next call).
+    /// Returns the per-member rate of entries `0..n`, borrowed from the
+    /// solver's internal buffer (valid until the next call). A weighted
+    /// entry's members all share that rate unless the no-freeze fallback
+    /// split one off (see [`MaxMinSolver::take_member_rate`]).
     ///
     /// Guarantees (tested, including by property tests):
     /// * no link's total allocated rate exceeds its capacity (within 1e-6
@@ -136,23 +158,28 @@ impl MaxMinSolver {
     /// * no flow exceeds its cap,
     /// * every flow is *bottlenecked*: it either runs at its cap or crosses
     ///   at least one saturated link (Pareto efficiency),
-    /// * flows with empty routes get exactly their cap.
+    /// * flows with empty routes get exactly their cap,
+    /// * a weighted entry's members get bit-for-bit the rates the same
+    ///   flows get as weight-1 entries.
     pub fn solve_with<'r>(
         &mut self,
         n: usize,
         route: impl Fn(usize) -> &'r [LinkId],
         cap_bps: impl Fn(usize) -> f64,
+        weight: impl Fn(usize) -> usize,
         links: &[u32],
         link_capacity_bps: &[f64],
     ) -> &[f64] {
         self.rate.clear();
-        self.frozen.clear();
+        self.left.clear();
         self.cap.clear();
+        self.singles.clear();
         self.rate.resize(n, 0.0);
-        self.frozen.resize(n, false);
         self.cap.reserve(n);
+        self.left.reserve(n);
         for i in 0..n {
             self.cap.push(cap_bps(i));
+            self.left.push(weight(i));
         }
         if self.remaining.len() < link_capacity_bps.len() {
             self.remaining.resize(link_capacity_bps.len(), 0.0);
@@ -170,14 +197,14 @@ impl MaxMinSolver {
             let r = route(i);
             if r.is_empty() {
                 self.rate[i] = self.cap[i];
-                self.frozen[i] = true;
+                self.left[i] = 0;
             } else {
                 for l in r {
                     debug_assert!(
                         l.index() < link_capacity_bps.len(),
                         "route references unknown link {l}"
                     );
-                    self.users[l.index()] += 1;
+                    self.users[l.index()] += self.left[i];
                 }
             }
         }
@@ -185,8 +212,7 @@ impl MaxMinSolver {
         // `level` is the common rate all unfrozen flows have reached so far.
         let mut level = 0.0_f64;
         loop {
-            let active = self.frozen.iter().filter(|&&f| !f).count();
-            if active == 0 {
+            if self.left.iter().all(|&w| w == 0) {
                 break;
             }
 
@@ -194,7 +220,7 @@ impl MaxMinSolver {
             // link with users saturates at the shared fill level.
             let mut next_level = f64::INFINITY;
             for i in 0..n {
-                if !self.frozen[i] {
+                if self.left[i] > 0 {
                     next_level = next_level.min(self.cap[i]);
                 }
             }
@@ -214,9 +240,9 @@ impl MaxMinSolver {
                 // route and counts as a user on each of its links.
                 // Defensive stop.
                 for i in 0..n {
-                    if !self.frozen[i] {
+                    if self.left[i] > 0 {
                         self.rate[i] = self.cap[i];
-                        self.frozen[i] = true;
+                        self.left[i] = 0;
                     }
                 }
                 break;
@@ -238,18 +264,15 @@ impl MaxMinSolver {
             // Freeze flows at their caps.
             let mut any_frozen = false;
             for i in 0..n {
-                if !self.frozen[i] && self.cap[i] <= level + 1e-12 {
+                if self.left[i] > 0 && self.cap[i] <= level + 1e-12 {
                     self.rate[i] = self.cap[i];
-                    self.frozen[i] = true;
+                    self.freeze(i, self.left[i], &route);
                     any_frozen = true;
-                    for l in route(i) {
-                        self.users[l.index()] -= 1;
-                    }
                 }
             }
             // Freeze flows crossing saturated links at the fill level.
             for i in 0..n {
-                if self.frozen[i] {
+                if self.left[i] == 0 {
                     continue;
                 }
                 let saturated = route(i).iter().any(|l| {
@@ -257,29 +280,28 @@ impl MaxMinSolver {
                 });
                 if saturated {
                     self.rate[i] = level;
-                    self.frozen[i] = true;
+                    self.freeze(i, self.left[i], &route);
                     any_frozen = true;
-                    for l in route(i) {
-                        self.users[l.index()] -= 1;
-                    }
                 }
             }
 
             if !any_frozen {
                 // Numerical safety: next_level should always freeze
-                // something. If rounding prevented it, freeze the
-                // minimum-cap flow.
+                // something. If rounding prevented it, freeze one flow:
+                // the first member of the first minimum-cap entry.
                 let mut best: Option<(usize, f64)> = None;
                 for i in 0..n {
-                    if !self.frozen[i] && best.is_none_or(|(_, c)| self.cap[i] < c) {
+                    if self.left[i] > 0 && best.is_none_or(|(_, c)| self.cap[i] < c) {
                         best = Some((i, self.cap[i]));
                     }
                 }
                 if let Some((i, cap)) = best {
-                    self.rate[i] = cap.min(level);
-                    self.frozen[i] = true;
-                    for l in route(i) {
-                        self.users[l.index()] -= 1;
+                    let rate = cap.min(level);
+                    self.freeze(i, 1, &route);
+                    if self.left[i] == 0 {
+                        self.rate[i] = rate;
+                    } else {
+                        self.singles.push((i, rate));
                     }
                 } else {
                     break;
@@ -290,10 +312,35 @@ impl MaxMinSolver {
         &self.rate
     }
 
-    /// The rate computed for flow `i` by the last [`MaxMinSolver::solve_with`]
-    /// call.
+    /// Freezes `members` unfrozen members of entry `i`: they stop counting
+    /// as users of its links.
+    fn freeze<'r>(&mut self, i: usize, members: usize, route: &impl Fn(usize) -> &'r [LinkId]) {
+        self.left[i] -= members;
+        for l in route(i) {
+            self.users[l.index()] -= members;
+        }
+    }
+
+    /// The per-member rate computed for entry `i` by the last
+    /// [`MaxMinSolver::solve_with`] call.
     pub fn rate(&self, i: usize) -> f64 {
         self.rate[i]
+    }
+
+    /// Takes the rate of entry `e`'s next member, for callers expanding
+    /// the last weighted solve to its flows: call it once per member, in
+    /// member order.
+    ///
+    /// Every member gets its entry's rate, except members the no-freeze
+    /// fallback froze one at a time: the k-th such freeze of an entry
+    /// goes to its k-th member, as the per-flow fill freezes the first
+    /// unfrozen of equal flows. The fallback is never reached on
+    /// non-negative capacities, so this is normally [`MaxMinSolver::rate`].
+    pub fn take_member_rate(&mut self, e: usize) -> f64 {
+        if let Some(k) = self.singles.iter().position(|s| s.0 == e) {
+            return self.singles.remove(k).1;
+        }
+        self.rate[e]
     }
 }
 
@@ -331,6 +378,7 @@ pub fn max_min_allocation(flows: &[FlowDemand<'_>], link_capacity_bps: &[f64]) -
             flows.len(),
             |i| flows[i].route,
             |i| flows[i].cap_bps,
+            |_| 1,
             &links,
             link_capacity_bps,
         )
@@ -490,6 +538,7 @@ mod tests {
                     routes.len(),
                     |i| routes[i].as_slice(),
                     |i| caps[i],
+                    |_| 1,
                     &links,
                     link_caps,
                 )
@@ -520,6 +569,7 @@ mod tests {
             3,
             |i| busy_routes[i].as_slice(),
             |_| f64::INFINITY,
+            |_| 1,
             &all,
             &caps,
         );
@@ -529,11 +579,55 @@ mod tests {
             2,
             |i| comp_routes[i].as_slice(),
             |_| f64::INFINITY,
+            |_| 1,
             &[2],
             &caps,
         );
         assert!((rates[0] - 30.0).abs() < 1e-9, "{rates:?}");
         assert!((rates[1] - 30.0).abs() < 1e-9, "{rates:?}");
+    }
+
+    #[test]
+    fn fallback_freezes_one_member_of_a_weighted_entry() {
+        // The no-freeze fallback needs a fill step that freezes nothing,
+        // which rounding cannot cause on non-negative capacities. A
+        // negative capacity on l0 drives the level to -1e10 first; the
+        // next step's level -1e10 + 0.3 rounds down by 0.4 ulp, so l1
+        // keeps ~1.5e-6 bps of its 0.6 and nobody saturates.
+        let routes = [vec![l(0)], vec![l(1)], vec![l(1)]];
+        let link_caps = [-1e10, 0.6];
+        let links = [0, 1];
+        let mut solver = MaxMinSolver::new();
+        let per_flow = solver
+            .solve_with(
+                3,
+                |i| routes[i].as_slice(),
+                |_| f64::INFINITY,
+                |_| 1,
+                &links,
+                &link_caps,
+            )
+            .to_vec();
+        assert!(solver.singles.is_empty(), "weight-1 entries never split");
+        // Same population, flows 1 and 2 as one weight-2 entry.
+        solver.solve_with(
+            2,
+            |e| routes[e].as_slice(),
+            |_| f64::INFINITY,
+            |e| if e == 0 { 1 } else { 2 },
+            &links,
+            &link_caps,
+        );
+        assert_eq!(solver.singles.len(), 1, "exactly one member split off");
+        assert_eq!(solver.singles[0].0, 1);
+        let got: Vec<f64> = [0, 1, 1]
+            .iter()
+            .map(|&e| solver.take_member_rate(e))
+            .collect();
+        assert_ne!(got[1].to_bits(), got[2].to_bits(), "{got:?}");
+        for (g, w) in got.iter().zip(&per_flow) {
+            assert_eq!(g.to_bits(), w.to_bits(), "{got:?} vs {per_flow:?}");
+        }
     }
 
     #[test]

@@ -141,3 +141,41 @@ fn warmed_drain_stays_allocation_free_with_batching_off() {
         after - before
     );
 }
+
+#[test]
+fn warmed_churn_through_live_flow_classes_allocates_nothing() {
+    // Flows that join and leave (route, cap) classes other flows keep
+    // alive touch only the classes' member counts: once warm, a whole
+    // churn cycle — starts included — allocates nothing.
+    let (topo, a, b, c) = star();
+    let mut sim = NetSim::new(topo, 7);
+    sim.set_validation(false);
+    sim.set_auto_shrink(false);
+    // One long flow per class keeps both classes live throughout.
+    sim.start_flow(FlowSpec::new(a, b, 1 << 50));
+    sim.start_flow(FlowSpec::new(a, c, 1 << 50));
+    const ANCHORS: usize = 2;
+
+    const FLOWS: usize = 64;
+    let cycle = |sim: &mut NetSim| {
+        for i in 0..FLOWS {
+            let (src, dst) = if i % 2 == 0 { (a, b) } else { (a, c) };
+            sim.start_flow(FlowSpec::new(src, dst, 4_000_000 + (i as u64) * 37_000));
+        }
+        while sim.active_flow_count() > ANCHORS {
+            sim.next_event().expect("churn flows complete");
+        }
+    };
+    cycle(&mut sim);
+    cycle(&mut sim);
+
+    let before = allocs();
+    cycle(&mut sim);
+    let after = allocs();
+    assert_eq!(
+        after - before,
+        0,
+        "warmed class churn must not allocate (saw {} allocations)",
+        after - before
+    );
+}

@@ -11,10 +11,17 @@
 //! sampled at timer instants — must agree within 1e-9 relative tolerance.
 //! (Within a single component the two are bit-identical; the tolerance
 //! absorbs ulp-scale differences in how progressive filling partitions
-//! deltas when several components coexist.)
+//! deltas when several components coexist.) The incremental engine fills
+//! per (route, cap) class while `Full` fills per flow, so this is also the
+//! engine-level check of the class fill.
+//!
+//! A second property checks the class fill at the solver level: grouping
+//! flows into weighted (route, cap) entries must reproduce the per-flow
+//! `max_min_allocation` bit for bit.
 
 use std::collections::HashMap;
 
+use datagrid_simnet::flow::{max_min_allocation, FlowDemand, MaxMinSolver};
 use datagrid_simnet::prelude::*;
 use proptest::prelude::*;
 
@@ -208,6 +215,121 @@ proptest! {
                     ),
                 }
             }
+        }
+    }
+}
+
+/// A random flow population with many duplicate (route, cap) members and a
+/// few singletons: `(routes, caps, link capacities)`.
+fn class_population(
+    seed: u64,
+    links: usize,
+    classes: usize,
+    members: usize,
+    singles: usize,
+) -> (Vec<Vec<LinkId>>, Vec<f64>, Vec<f64>) {
+    let mut rng = SimRng::seed_from_u64(seed);
+    let random_route = |rng: &mut SimRng| {
+        let mut route: Vec<LinkId> = Vec::new();
+        for _ in 0..1 + rng.below(3) {
+            let l = LinkId::from_index(rng.below(links as u64) as usize);
+            if !route.contains(&l) {
+                route.push(l);
+            }
+        }
+        route
+    };
+    let random_cap = |rng: &mut SimRng| match rng.below(3) {
+        0 => f64::INFINITY,
+        _ => rng.uniform(5.0, 150.0),
+    };
+    let link_caps: Vec<f64> = (0..links)
+        .map(|_| {
+            if rng.below(8) == 0 {
+                0.0
+            } else {
+                rng.uniform(20.0, 400.0)
+            }
+        })
+        .collect();
+    let protos: Vec<(Vec<LinkId>, f64)> = (0..classes)
+        .map(|_| (random_route(&mut rng), random_cap(&mut rng)))
+        .collect();
+    let mut routes = Vec::new();
+    let mut caps = Vec::new();
+    for _ in 0..members {
+        let (route, cap) = &protos[rng.below(classes as u64) as usize];
+        routes.push(route.clone());
+        caps.push(*cap);
+    }
+    // Singletons land at random positions among the members.
+    for _ in 0..singles {
+        let at = rng.below(routes.len() as u64 + 1) as usize;
+        routes.insert(at, random_route(&mut rng));
+        caps.insert(at, rng.uniform(5.0, 150.0));
+    }
+    (routes, caps, link_caps)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn class_fill_matches_per_flow_fill_bit_for_bit(
+        seed in 0u64..1_000_000,
+        links in 2usize..7,
+        classes in 1usize..6,
+        members in 2usize..60,
+        singles in 0usize..4,
+    ) {
+        let (routes, caps, link_caps) = class_population(seed, links, classes, members, singles);
+        let demands: Vec<FlowDemand<'_>> = routes
+            .iter()
+            .zip(&caps)
+            .map(|(route, &cap_bps)| FlowDemand { route, cap_bps })
+            .collect();
+        let want = max_min_allocation(&demands, &link_caps);
+
+        // One weighted entry per (route, cap bits), in first-member order.
+        let mut entry_first: Vec<usize> = Vec::new();
+        let mut weight: Vec<usize> = Vec::new();
+        let mut entry_of: Vec<usize> = Vec::new();
+        for i in 0..routes.len() {
+            let e = match entry_first
+                .iter()
+                .position(|&f| routes[f] == routes[i] && caps[f].to_bits() == caps[i].to_bits())
+            {
+                Some(e) => e,
+                None => {
+                    entry_first.push(i);
+                    weight.push(0);
+                    entry_first.len() - 1
+                }
+            };
+            weight[e] += 1;
+            entry_of.push(e);
+        }
+        prop_assume!(entry_first.len() < routes.len());
+
+        let all_links: Vec<u32> = (0..links as u32).collect();
+        let mut solver = MaxMinSolver::new();
+        solver.solve_with(
+            entry_first.len(),
+            |e| routes[entry_first[e]].as_slice(),
+            |e| caps[entry_first[e]],
+            |e| weight[e],
+            &all_links,
+            &link_caps,
+        );
+        let got: Vec<f64> = entry_of.iter().map(|&e| solver.take_member_rate(e)).collect();
+        prop_assert_eq!(got.len(), want.len());
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            prop_assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "flow {}: class fill {} vs per-flow fill {}",
+                i, g, w
+            );
         }
     }
 }
