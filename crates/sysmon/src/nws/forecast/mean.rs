@@ -2,6 +2,7 @@
 
 use std::collections::VecDeque;
 
+use super::window::SortedWindow;
 use super::Forecaster;
 
 /// Running mean of the entire history.
@@ -176,9 +177,8 @@ impl Forecaster for AdaptiveMean {
 /// `trim_fraction` of values (robust to measurement spikes).
 #[derive(Debug, Clone)]
 pub struct TrimmedMean {
-    window: usize,
     trim_fraction: f64,
-    buf: VecDeque<f64>,
+    buf: SortedWindow,
 }
 
 impl TrimmedMean {
@@ -195,9 +195,8 @@ impl TrimmedMean {
             "trim fraction must be in [0, 0.9], got {trim_fraction}"
         );
         TrimmedMean {
-            window,
             trim_fraction,
-            buf: VecDeque::with_capacity(window),
+            buf: SortedWindow::new(window),
         }
     }
 }
@@ -208,18 +207,14 @@ impl Forecaster for TrimmedMean {
     }
 
     fn update(&mut self, value: f64) {
-        if self.buf.len() == self.window {
-            self.buf.pop_front();
-        }
-        self.buf.push_back(value);
+        self.buf.push(value);
     }
 
     fn forecast(&self) -> Option<f64> {
-        if self.buf.is_empty() {
+        let v = self.buf.sorted();
+        if v.is_empty() {
             return None;
         }
-        let mut v: Vec<f64> = self.buf.iter().copied().collect();
-        v.sort_by(|a, b| a.partial_cmp(b).expect("finite measurements"));
         let cut = ((v.len() as f64 * self.trim_fraction) / 2.0).floor() as usize;
         let kept = &v[cut..v.len() - cut];
         debug_assert!(!kept.is_empty());

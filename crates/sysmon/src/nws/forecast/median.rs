@@ -1,29 +1,13 @@
 //! Median-based forecasters (robust to outliers, which matter for
 //! bandwidth probes sharing links with bursty cross traffic).
 
-use std::collections::VecDeque;
-
+use super::window::SortedWindow;
 use super::Forecaster;
-
-fn median_of(values: impl Iterator<Item = f64>) -> Option<f64> {
-    let mut v: Vec<f64> = values.collect();
-    if v.is_empty() {
-        return None;
-    }
-    v.sort_by(|a, b| a.partial_cmp(b).expect("finite measurements"));
-    let n = v.len();
-    Some(if n % 2 == 1 {
-        v[n / 2]
-    } else {
-        0.5 * (v[n / 2 - 1] + v[n / 2])
-    })
-}
 
 /// Median of the most recent `window` measurements.
 #[derive(Debug, Clone)]
 pub struct SlidingMedian {
-    window: usize,
-    buf: VecDeque<f64>,
+    buf: SortedWindow,
 }
 
 impl SlidingMedian {
@@ -35,8 +19,7 @@ impl SlidingMedian {
     pub fn new(window: usize) -> Self {
         assert!(window > 0, "window must be positive");
         SlidingMedian {
-            window,
-            buf: VecDeque::with_capacity(window),
+            buf: SortedWindow::new(window),
         }
     }
 }
@@ -47,14 +30,20 @@ impl Forecaster for SlidingMedian {
     }
 
     fn update(&mut self, value: f64) {
-        if self.buf.len() == self.window {
-            self.buf.pop_front();
-        }
-        self.buf.push_back(value);
+        self.buf.push(value);
     }
 
     fn forecast(&self) -> Option<f64> {
-        median_of(self.buf.iter().copied())
+        let v = self.buf.sorted();
+        let n = v.len();
+        if n == 0 {
+            return None;
+        }
+        Some(if n % 2 == 1 {
+            v[n / 2]
+        } else {
+            0.5 * (v[n / 2 - 1] + v[n / 2])
+        })
     }
 
     fn clone_box(&self) -> Box<dyn Forecaster> {
@@ -66,12 +55,23 @@ impl Forecaster for SlidingMedian {
 /// [`AdaptiveMean`](super::mean::AdaptiveMean): the window drifts shorter
 /// when a half-length median would have predicted the newest value better,
 /// longer otherwise.
+///
+/// The last `max_window` values are kept sorted as `(value, arrival)`,
+/// equal values newest first, so the median of the last `n` arrivals is one
+/// rank walk that skips older arrivals. The order among equals is the one
+/// a stable sort of the newest-first window leaves, which keeps the
+/// result bit-identical to sorting a fresh copy.
 #[derive(Debug, Clone)]
 pub struct AdaptiveMedian {
     min_window: usize,
     max_window: usize,
     window: usize,
-    buf: VecDeque<f64>,
+    /// Arrival number the next value will get.
+    arrivals: u64,
+    /// The last `max_window` values with their arrival numbers.
+    sorted: Vec<(f64, u64)>,
+    /// `median_of_last(window)`, computed once per update.
+    forecast: Option<f64>,
 }
 
 impl AdaptiveMedian {
@@ -89,7 +89,9 @@ impl AdaptiveMedian {
             min_window,
             max_window,
             window: min_window,
-            buf: VecDeque::with_capacity(max_window),
+            arrivals: 0,
+            sorted: Vec::with_capacity(max_window),
+            forecast: None,
         }
     }
 
@@ -99,8 +101,21 @@ impl AdaptiveMedian {
     }
 
     fn median_of_last(&self, n: usize) -> Option<f64> {
-        let n = n.min(self.buf.len());
-        median_of(self.buf.iter().rev().take(n).copied())
+        let n = n.min(self.sorted.len());
+        let first = self.arrivals - n as u64;
+        let mut below = 0.0;
+        let mut rank = 0;
+        for &(v, arrival) in &self.sorted {
+            if arrival < first {
+                continue;
+            }
+            if rank == n / 2 {
+                return Some(if n % 2 == 1 { v } else { 0.5 * (below + v) });
+            }
+            below = v;
+            rank += 1;
+        }
+        None
     }
 }
 
@@ -110,25 +125,32 @@ impl Forecaster for AdaptiveMedian {
     }
 
     fn update(&mut self, value: f64) {
-        if self.buf.len() >= self.min_window {
-            let full = self.median_of_last(self.window).expect("non-empty");
-            let half = self
-                .median_of_last((self.window / 2).max(self.min_window))
-                .expect("non-empty");
-            if (half - value).abs() < (full - value).abs() {
-                self.window = (self.window - 1).max(self.min_window);
-            } else {
-                self.window = (self.window + 1).min(self.max_window);
+        if self.sorted.len() >= self.min_window {
+            // The cached forecast is the full-window median of this very
+            // window and values.
+            let half = self.median_of_last((self.window / 2).max(self.min_window));
+            if let (Some(full), Some(half)) = (self.forecast, half) {
+                if (half - value).abs() < (full - value).abs() {
+                    self.window = (self.window - 1).max(self.min_window);
+                } else {
+                    self.window = (self.window + 1).min(self.max_window);
+                }
             }
         }
-        if self.buf.len() == self.max_window {
-            self.buf.pop_front();
+        if self.sorted.len() == self.max_window {
+            let oldest = self.arrivals - self.max_window as u64;
+            if let Some(at) = self.sorted.iter().position(|&(_, a)| a == oldest) {
+                self.sorted.remove(at);
+            }
         }
-        self.buf.push_back(value);
+        let at = self.sorted.partition_point(|&(x, _)| x < value);
+        self.sorted.insert(at, (value, self.arrivals));
+        self.arrivals += 1;
+        self.forecast = self.median_of_last(self.window);
     }
 
     fn forecast(&self) -> Option<f64> {
-        self.median_of_last(self.window)
+        self.forecast
     }
 
     fn clone_box(&self) -> Box<dyn Forecaster> {

@@ -21,6 +21,7 @@ pub mod ar;
 pub mod mean;
 pub mod median;
 pub mod smoothing;
+mod window;
 
 pub use ar::Ar1Forecaster;
 pub use mean::{AdaptiveMean, RunningMean, SlidingMean, TrimmedMean};
@@ -146,6 +147,9 @@ impl MetaForecaster {
     }
 
     /// The standard NWS battery (all implemented methods, MAE selection).
+    ///
+    /// `battery_members` in `crates/bench/benches/micro_forecasters.rs`
+    /// lists the same members for per-member timing; change both together.
     pub fn nws_battery() -> Self {
         MetaForecaster::new(
             vec![

@@ -58,6 +58,29 @@ step_perfbench() {
   CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target/perfbench}" \
     step perfbench cargo test --release --offline --manifest-path perfbench/Cargo.toml
 }
+# Simulated-result gate: each perfbench workload, replayed once per
+# instance at the default seed, must print exactly the `run:` line (run and
+# per-instance fetch digests) pinned in ci/perfbench_digests.txt. A change
+# that claims only speed so proves it moved no simulated result.
+check_perfbench_digests() {
+  local out="${CARGO_TARGET_DIR}/perfbench-digests"
+  mkdir -p "$out"
+  cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml
+  : >"$out/run_lines.txt"
+  local w
+  for w in $(sed -n 's/^run: {"workload": "\([^"]*\)".*/\1/p' ci/perfbench_digests.txt); do
+    "${CARGO_TARGET_DIR}/release/datagrid-perfbench" --workload "$w" --seconds 0 --trace 0 \
+      --out "$out" | grep '^run: ' >>"$out/run_lines.txt"
+  done
+  if ! diff <(grep '^run: ' ci/perfbench_digests.txt) "$out/run_lines.txt"; then
+    echo "perfbench digests differ from ci/perfbench_digests.txt (< pinned, > this tree)" >&2
+    return 1
+  fi
+}
+step_perfbench_digests() {
+  CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target/perfbench}" \
+    step perfbench-digests check_perfbench_digests
+}
 
 if [ $# -gt 0 ]; then
   for sel in "$@"; do
@@ -74,6 +97,7 @@ else
   step_profile_smoke
   step_fuzz_smoke
   step_perfbench
+  step_perfbench_digests
 fi
 
 echo "==> ci OK"
