@@ -138,11 +138,6 @@ impl ReplicaManager {
         ReplicaManager::default()
     }
 
-    /// Wraps an existing catalog.
-    pub fn with_catalog(catalog: ReplicaCatalog) -> Self {
-        ReplicaManager { catalog }
-    }
-
     /// The underlying catalog.
     pub fn catalog(&self) -> &ReplicaCatalog {
         &self.catalog

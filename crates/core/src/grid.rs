@@ -196,7 +196,6 @@ fn local_outcome(bytes: u64, start: SimTime, end: SimTime) -> TransferOutcome {
         stripes: 0,
         started: start,
         finished: end,
-        // lint: allow(alloc-in-hot-path) -- one phase record per local read, made when it ends
         phases: vec![PhaseRecord {
             name: "data",
             start,
@@ -348,12 +347,6 @@ impl GridBuilder {
     /// Sets the selection policy (default: the cost model).
     pub fn policy(&mut self, policy: SelectionPolicy) -> &mut Self {
         self.policy = policy;
-        self
-    }
-
-    /// Sets protocol cost constants (GSI, per-byte CPU).
-    pub fn protocol_costs(&mut self, costs: ProtocolCosts) -> &mut Self {
-        self.costs = costs;
         self
     }
 
@@ -771,6 +764,10 @@ impl DataGrid {
     }
 
     /// All host ids, in creation order.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "host ids are minted at GridBuilder::build through u32::try_from, so every index below the host count fits"
+    )]
     pub fn host_ids(&self) -> impl Iterator<Item = HostId> + '_ {
         (0..self.hosts.len() as u32).map(HostId)
     }
@@ -851,11 +848,6 @@ impl DataGrid {
     /// [`GridBuilder::timeline_window`] or [`DataGrid::enable_timeline`]).
     pub fn timeline(&self) -> Option<&TimelineRecorder> {
         self.timeline.as_ref()
-    }
-
-    /// Mutable timeline access — e.g. to fold extra per-run markers in.
-    pub fn timeline_mut(&mut self) -> Option<&mut TimelineRecorder> {
-        self.timeline.as_mut()
     }
 
     /// Starts (or restarts) the health timeline with `window`-wide
@@ -1258,7 +1250,6 @@ impl DataGrid {
     /// # Errors
     ///
     /// As [`DataGrid::score_candidates`]; on error `out` is left cleared.
-    // lint: hot-path
     pub fn score_candidates_into(
         &self,
         client: HostId,
@@ -1467,6 +1458,10 @@ impl DataGrid {
     /// # Panics
     ///
     /// Panics if the hosts are unroutable.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the quotient is clamped to 1..=16 right after the saturating cast"
+    )]
     pub fn suggested_parallelism(&self, src: HostId, dst: HostId) -> u32 {
         let s = self.node_of(src);
         let d = self.node_of(dst);
@@ -1746,6 +1741,10 @@ impl DataGrid {
         }
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "probe tokens are TOK_PROBE_BASE plus an index into `monitored`, checked by the guard"
+    )]
     fn handle_internal(&mut self, ev: &SimEvent) {
         match &ev.kind {
             EventKind::TimerFired(TOK_MONITOR) => self.on_monitor_tick(),
@@ -1816,6 +1815,10 @@ impl DataGrid {
         }
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "host ids are minted at GridBuilder::build through u32::try_from, so every index below the host count fits"
+    )]
     fn on_monitor_tick(&mut self) {
         // Hosts advance and the MDS refreshes below: every cached CPU_P /
         // IO_P reading is about to go stale.

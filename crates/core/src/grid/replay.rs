@@ -31,6 +31,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, DefaultHasher};
 
 use datagrid_catalog::name::LogicalFileName;
 use datagrid_gridftp::executor::{SessionStatus, TransferSession};
@@ -381,6 +382,12 @@ impl JobState {
     }
 }
 
+/// Routing map with fixed hash keys. The driver's maps are never iterated
+/// and their keys are internal tokens and flow ids, so a per-process random
+/// seed buys nothing; it only makes the moment a table resizes, and with it
+/// the replay's allocation count, differ from one process to the next.
+type RouteMap<K> = HashMap<K, usize, BuildHasherDefault<DefaultHasher>>;
+
 /// The replay event loop: grid + per-job state machines. `grid` and the
 /// driver's own fields are disjoint, so job state can be borrowed while
 /// grid methods run.
@@ -391,13 +398,13 @@ struct Driver<'a> {
     states: Vec<JobState>,
     /// Control-timer token -> job index (arrival, decision, backoff and
     /// local-read timers; removed when fired).
-    timers: HashMap<u64, usize>,
+    timers: RouteMap<u64>,
     /// Session token block -> job index, for O(1) routing of session
     /// timers (control/ramp/completion/watchdog) without scanning jobs.
-    session_blocks: HashMap<u64, usize>,
+    session_blocks: RouteMap<u64>,
     /// Data-flow id -> job index, for O(1) routing of flow completions.
     /// Never iterated (HashMap order must stay unobservable).
-    flow_owner: HashMap<FlowId, usize>,
+    flow_owner: RouteMap<FlowId>,
     /// Reusable ranked-candidate buffer for [`Driver::decide`]. After a
     /// decision it holds that ranking minus the chosen candidate, which
     /// `swap_remove` took from index [`Driver::last_chosen`].
@@ -575,9 +582,9 @@ impl<'a> Driver<'a> {
             options,
             recovery,
             states: Vec::with_capacity(jobs),
-            timers: HashMap::new(),
-            session_blocks: HashMap::new(),
-            flow_owner: HashMap::new(),
+            timers: RouteMap::default(),
+            session_blocks: RouteMap::default(),
+            flow_owner: RouteMap::default(),
             cand_buf: Vec::new(),
             last_chosen: 0,
             last_transfer: None,
@@ -614,7 +621,6 @@ impl<'a> Driver<'a> {
         self.states.len() - 1
     }
 
-    // lint: hot-path
     fn run(&mut self) -> Result<(), GridError> {
         while self.remaining > 0 {
             let before = self.grid.sim.stats();
@@ -949,7 +955,6 @@ impl<'a> Driver<'a> {
         Ok(())
     }
 
-    // lint: hot-path
     fn on_session_event(
         &mut self,
         idx: usize,

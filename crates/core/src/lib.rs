@@ -38,6 +38,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(clippy::cast_possible_truncation)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

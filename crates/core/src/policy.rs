@@ -123,6 +123,10 @@ impl ReplicaSelector {
     /// # Panics
     ///
     /// Panics if `candidates` is empty.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "below(len) is below len; the round-robin counter only matters modulo the candidate count"
+    )]
     pub fn choose(&mut self, candidates: &[CandidateScore]) -> usize {
         assert!(
             !candidates.is_empty(),

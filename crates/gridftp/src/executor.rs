@@ -519,6 +519,10 @@ impl TransferSession {
     /// The per-stream rate ceiling for each stripe source under current
     /// endpoint conditions: the TCP window/loss bound and the fair shares
     /// of the source disk/CPU and destination disk/CPU.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a session stripes over one source per replica, far fewer than u32::MAX"
+    )]
     fn per_source_stream_caps(&self, sim: &NetSim) -> Vec<Bandwidth> {
         let mode = self.req.effective_mode();
         let streams = self.req.streams();
@@ -595,6 +599,10 @@ impl TransferSession {
     /// Fully delivered streams count entirely; interrupted streams count
     /// their delivered fraction rounded down (conservative, as restart
     /// markers only cover acknowledged blocks).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "fraction is clamped to [0, 1], so the product lies within 0..=payload"
+    )]
     pub fn abort(&mut self, sim: &mut NetSim) -> u64 {
         let mut delivered = self.completed_payload;
         for (flow, stream) in self.active_flows.drain() {
@@ -609,6 +617,10 @@ impl TransferSession {
         delivered.min(self.req.payload_bytes())
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a session stripes over one source per replica, far fewer than u32::MAX"
+    )]
     fn start_data_flows(&mut self, sim: &mut NetSim) {
         let mode = self.req.effective_mode();
         let streams = self.req.streams();

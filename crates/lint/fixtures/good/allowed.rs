@@ -2,11 +2,9 @@
 //! allow. The analyzer must report nothing — and if any allow stops
 //! matching, it must flag the directive itself as stale.
 
-// lint: hot-path
-fn hot_with_sanctioned_alloc(&mut self) {
-    // A deliberate allocation on the hot path, with its audit trail:
-    let label = self.name.to_string(); // lint: allow(alloc-in-hot-path) -- error path only, executes at most once per run
-    self.fail(label);
+fn exact_sentinel(rate: f64) -> bool {
+    // A deliberate exact comparison, with its audit trail:
+    rate == 0.0 // lint: allow(float-eq) -- 0.0 is a sentinel written verbatim, never computed
 }
 
 fn invariant_backed_expect(x: Option<u32>) -> u32 {

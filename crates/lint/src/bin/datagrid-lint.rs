@@ -1,48 +1,32 @@
 //! CLI for the datagrid token-level static analyzer.
 //!
 //! ```text
-//! datagrid-lint [--deny] [--deny-all] [--root <path>]
-//!               [--baseline <path>] [--write-baseline]
-//!               [--json <path>]
+//! datagrid-lint [--deny] [--root <path>]
 //! ```
 //!
 //! Advisory by default: findings print but the exit code stays 0 so a
 //! developer can run it mid-refactor. `--deny` is the CI mode — any
-//! *new* (unbaselined) finding, stale allowlist entry, or stale baseline
-//! entry exits 1. `--deny-all` additionally fails on baselined findings,
-//! for burn-down sprints. `--baseline` overrides the default
-//! `<root>/ci/lint_baseline.json`; `--write-baseline` regenerates that
-//! file from the current findings (ratchet reset — review the diff).
-//! `--json` writes the machine-readable findings artifact.
+//! finding that neither an inline allow nor `lint-allow.txt` covers,
+//! including a stale allow at either layer, exits 1.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: datagrid-lint [--deny] [--deny-all] [--root <path>] [--baseline <path>] [--write-baseline] [--json <path>]";
+const USAGE: &str = "usage: datagrid-lint [--deny] [--root <path>]";
 
 fn main() -> ExitCode {
     let mut deny = false;
-    let mut deny_all = false;
-    let mut write_baseline = false;
     let mut root = PathBuf::from(".");
-    let mut opts = datagrid_lint::Options::default();
-    let mut json_out: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--deny" => deny = true,
-            "--deny-all" => deny_all = true,
-            "--write-baseline" => write_baseline = true,
-            "--root" | "--baseline" | "--json" => {
+            "--root" => {
                 let Some(p) = args.next() else {
-                    eprintln!("datagrid-lint: {arg} needs a path");
+                    eprintln!("datagrid-lint: --root needs a path");
                     return ExitCode::from(2);
                 };
-                match arg.as_str() {
-                    "--root" => root = PathBuf::from(p),
-                    "--baseline" => opts.baseline_path = Some(PathBuf::from(p)),
-                    _ => json_out = Some(PathBuf::from(p)),
-                }
+                root = PathBuf::from(p);
             }
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -56,7 +40,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let report = match datagrid_lint::run_with(&root, &opts) {
+    let report = match datagrid_lint::run(&root) {
         Ok(report) => report,
         Err(err) => {
             eprintln!("datagrid-lint: {err}");
@@ -64,43 +48,16 @@ fn main() -> ExitCode {
         }
     };
 
-    if let Some(path) = &json_out {
-        if let Some(dir) = path.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        if let Err(err) = std::fs::write(path, datagrid_lint::render_findings_json(&report)) {
-            eprintln!("datagrid-lint: writing {}: {err}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-
-    if write_baseline {
-        let path = opts
-            .baseline_path
-            .clone()
-            .unwrap_or_else(|| root.join("ci").join("lint_baseline.json"));
-        if let Err(err) = std::fs::write(&path, datagrid_lint::render_baseline(&report)) {
-            eprintln!("datagrid-lint: writing {}: {err}", path.display());
-            return ExitCode::from(2);
-        }
-        println!("datagrid-lint: baseline written to {}", path.display());
-        return ExitCode::SUCCESS;
-    }
-
     for finding in &report.findings {
         println!("{finding}");
     }
     println!(
-        "datagrid-lint: {} file(s) scanned, {} new finding(s), {} baselined, {} allowlisted",
+        "datagrid-lint: {} file(s) scanned, {} finding(s), {} allowlisted",
         report.files_scanned,
         report.findings.len(),
-        report.baselined.len(),
         report.allowed
     );
-    if (deny || deny_all) && !report.is_clean() {
-        return ExitCode::FAILURE;
-    }
-    if deny_all && !report.baselined.is_empty() {
+    if deny && !report.is_clean() {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

@@ -1,24 +1,18 @@
-//! Approximate intra-crate call graph.
+//! Approximate intra-crate call graph, for export reachability.
 //!
 //! Nodes are the indexed `fn` items of one crate; an edge `f → g` exists
 //! when `f`'s body contains a call whose bare callee name matches `g`'s
 //! name. Matching is by name only — no type resolution — which makes the
 //! graph deliberately *over*-approximate: a call `x.settle()` connects
 //! to every `fn settle` in the crate, whichever type it belongs to. For
-//! hot-path propagation that is the conservative direction (a function
-//! is treated as hot unless no hot caller could possibly reach it), and
-//! cross-crate calls simply end at the crate boundary, which keeps the
-//! blast radius of one annotation reviewable.
+//! the determinism rule that is the conservative direction (a function
+//! counts as export-reachable unless no export root could possibly reach
+//! it), and cross-crate calls simply end at the crate boundary.
 //!
-//! Two reachability sets are computed:
-//!
-//! - **hot**: reachable from a `// lint: hot-path` annotated root; the
-//!   `alloc-in-hot-path` rule fires only inside these bodies.
-//! - **export-reach**: reachable from an export root — a function whose
-//!   name says it renders/serialises output (`render_*`, `export_*`,
-//!   `emit_*`, `dump_*`, `write_*`, `*snapshot*`, `*_json`, `*_text`) —
-//!   where the `hash-iter-export` determinism rule watches for
-//!   `HashMap`/`HashSet`.
+//! An export root is a function whose name says it renders/serialises
+//! output (`render_*`, `export_*`, `emit_*`, `dump_*`, `write_*`,
+//! `*snapshot*`, `*_json`, `*_text`); the `hash-iter-export` rule watches
+//! every body reachable from one for `HashMap`/`HashSet`.
 
 use crate::index::FileIndex;
 use crate::lexer::{Lexed, TokenKind};
@@ -36,8 +30,8 @@ const NON_CALLEES: [&str; 14] = [
 
 /// Std types whose associated functions (`Vec::new`, `String::from`, …)
 /// must not be mistaken for calls to same-named crate functions: without
-/// this, one `HashMap::new()` in a hot body would mark every `fn new` in
-/// the crate hot.
+/// this, one `HashMap::new()` in an export body would mark every `fn new`
+/// in the crate export-reachable.
 const STD_QUALIFIERS: [&str; 16] = [
     "Vec", "VecDeque", "Box", "String", "HashMap", "HashSet", "BTreeMap", "BTreeSet", "Rc", "Arc",
     "Option", "Result", "Cell", "RefCell", "Duration", "Cow",
@@ -54,35 +48,6 @@ pub fn is_export_root(name: &str) -> bool {
         || name.contains("snapshot")
         || name.ends_with("_json")
         || name.ends_with("_text")
-}
-
-/// Per-crate reachability flags, indexed like the crate's files/items.
-#[derive(Debug, Default)]
-pub struct Reachability {
-    /// `hot[file][item]`: body is reachable from a hot-path root.
-    pub hot: Vec<Vec<bool>>,
-    /// `export[file][item]`: body is reachable from an export root.
-    pub export: Vec<Vec<bool>>,
-}
-
-impl Reachability {
-    /// True when the item is hot-path-reachable.
-    pub fn is_hot(&self, file: usize, item: usize) -> bool {
-        self.hot
-            .get(file)
-            .and_then(|v| v.get(item))
-            .copied()
-            .unwrap_or(false)
-    }
-
-    /// True when the item is export-reachable.
-    pub fn is_export(&self, file: usize, item: usize) -> bool {
-        self.export
-            .get(file)
-            .and_then(|v| v.get(item))
-            .copied()
-            .unwrap_or(false)
-    }
 }
 
 /// One call site as the graph resolves it.
@@ -187,76 +152,41 @@ pub struct CrateFile<'a> {
     pub index: &'a FileIndex,
 }
 
-/// Builds the call graph over `files` and returns both reachability
-/// sets. Test items neither propagate nor receive reachability.
-pub fn analyze(files: &[CrateFile<'_>]) -> Reachability {
+/// Builds the call graph over `files` and returns, per file and item,
+/// whether the item's body is reachable from an export root. Test items
+/// neither propagate nor receive reachability.
+pub fn export_reach(files: &[CrateFile<'_>]) -> Vec<Vec<bool>> {
     // name -> every non-test fn with that name in the crate.
     let mut by_name: BTreeMap<&str, Vec<FnRef>> = BTreeMap::new();
     // (impl type, name) -> the fns of that name in that type's impls.
     let mut by_owner: BTreeMap<(&str, &str), Vec<FnRef>> = BTreeMap::new();
-    for (fi, f) in files.iter().enumerate() {
-        for (ii, item) in f.index.items.iter().enumerate() {
-            if !item.is_test {
-                by_name
-                    .entry(item.name.as_str())
-                    .or_default()
-                    .push((fi, ii));
-                if let Some(owner) = &item.owner {
-                    by_owner
-                        .entry((owner.as_str(), item.name.as_str()))
-                        .or_default()
-                        .push((fi, ii));
-                }
-            }
-        }
-    }
-
-    let mut reach = Reachability {
-        hot: files
-            .iter()
-            .map(|f| vec![false; f.index.items.len()])
-            .collect(),
-        export: files
-            .iter()
-            .map(|f| vec![false; f.index.items.len()])
-            .collect(),
-    };
-
-    let mut hot_roots = Vec::new();
-    let mut export_roots = Vec::new();
+    let mut flags: Vec<Vec<bool>> = files
+        .iter()
+        .map(|f| vec![false; f.index.items.len()])
+        .collect();
+    let mut queue: Vec<FnRef> = Vec::new();
     for (fi, f) in files.iter().enumerate() {
         for (ii, item) in f.index.items.iter().enumerate() {
             if item.is_test {
                 continue;
             }
-            if item.hot_root {
-                hot_roots.push((fi, ii));
+            by_name
+                .entry(item.name.as_str())
+                .or_default()
+                .push((fi, ii));
+            if let Some(owner) = &item.owner {
+                by_owner
+                    .entry((owner.as_str(), item.name.as_str()))
+                    .or_default()
+                    .push((fi, ii));
             }
             if is_export_root(&item.name) {
-                export_roots.push((fi, ii));
+                flags[fi][ii] = true;
+                queue.push((fi, ii));
             }
         }
     }
 
-    propagate(files, &by_name, &by_owner, hot_roots, &mut reach.hot);
-    propagate(files, &by_name, &by_owner, export_roots, &mut reach.export);
-    reach
-}
-
-fn propagate(
-    files: &[CrateFile<'_>],
-    by_name: &BTreeMap<&str, Vec<FnRef>>,
-    by_owner: &BTreeMap<(&str, &str), Vec<FnRef>>,
-    roots: Vec<FnRef>,
-    flags: &mut [Vec<bool>],
-) {
-    let mut queue: Vec<FnRef> = Vec::new();
-    for (fi, ii) in roots {
-        if !flags[fi][ii] {
-            flags[fi][ii] = true;
-            queue.push((fi, ii));
-        }
-    }
     while let Some((fi, ii)) = queue.pop() {
         let f = &files[fi];
         for callee in callees(f.src, f.lexed, f.index, ii) {
@@ -272,6 +202,7 @@ fn propagate(
             }
         }
     }
+    flags
 }
 
 #[cfg(test)]
@@ -296,7 +227,8 @@ mod tests {
         }
     }
 
-    fn reach(sources: &[&str]) -> (Vec<Owned>, Reachability) {
+    /// Export flags for `sources` (one file each), looked up by name.
+    fn reach(sources: &[&str]) -> impl Fn(usize, &str) -> bool {
         let owned: Vec<Owned> = sources.iter().map(|s| own(s)).collect();
         let files: Vec<CrateFile<'_>> = owned
             .iter()
@@ -306,47 +238,63 @@ mod tests {
                 index: &o.index,
             })
             .collect();
-        let r = analyze(&files);
-        (owned, r)
+        let flags = export_reach(&files);
+        let items: Vec<Vec<(String, bool)>> = owned
+            .iter()
+            .map(|o| {
+                o.index
+                    .items
+                    .iter()
+                    .map(|i| (i.name.clone(), i.is_test))
+                    .collect()
+            })
+            .collect();
+        // Non-test item by that name.
+        move |file, name| {
+            let ii = items[file]
+                .iter()
+                .position(|(n, t)| n == name && !t)
+                .expect("item");
+            flags[file][ii]
+        }
     }
 
     #[test]
-    fn hot_propagates_through_direct_and_method_calls() {
-        let (owned, r) = reach(&[
-            "// lint: hot-path\nfn settle() { helper(); obj.step(); }\nfn helper() {}\nfn step() {}\nfn cold() {}\n",
+    fn export_reach_propagates_through_direct_and_method_calls() {
+        let r = reach(&[
+            "fn render_json() { helper(); obj.step(); }\nfn helper() {}\nfn step() {}\nfn cold() {}\n",
         ]);
-        let idx = &owned[0].index;
-        let pos = |n: &str| idx.items.iter().position(|i| i.name == n).expect("item");
-        assert!(r.is_hot(0, pos("settle")));
-        assert!(r.is_hot(0, pos("helper")));
-        assert!(r.is_hot(0, pos("step")));
-        assert!(!r.is_hot(0, pos("cold")));
+        assert!(r(0, "render_json"));
+        assert!(r(0, "helper"));
+        assert!(r(0, "step"));
+        assert!(!r(0, "cold"));
     }
 
     #[test]
-    fn hot_crosses_files_within_the_crate() {
-        let (owned, r) = reach(&[
-            "// lint: hot-path\nfn root() { shared(); }\n",
+    fn export_reach_crosses_files_within_the_crate() {
+        let r = reach(&[
+            "fn render_json() { shared(); }\n",
             "fn shared() { leaf(); }\nfn leaf() {}\n",
         ]);
-        let idx1 = &owned[1].index;
-        let pos = |n: &str| idx1.items.iter().position(|i| i.name == n).expect("item");
-        assert!(r.is_hot(1, pos("shared")));
-        assert!(r.is_hot(1, pos("leaf")));
+        assert!(r(1, "shared"));
+        assert!(r(1, "leaf"));
     }
 
     #[test]
     fn test_functions_do_not_catch_reachability() {
-        let (owned, r) = reach(&[
-            "// lint: hot-path\nfn root() { helper(); }\n#[cfg(test)]\nmod tests {\n    fn helper() {}\n}\nfn helper() {}\n",
-        ]);
-        let idx = &owned[0].index;
-        for (ii, item) in idx.items.iter().enumerate() {
-            if item.name == "helper" && item.is_test {
-                assert!(!r.is_hot(0, ii), "test helper must stay cold");
-            }
-            if item.name == "helper" && !item.is_test {
-                assert!(r.is_hot(0, ii));
+        let src = "fn render_json() { helper(); }\n#[cfg(test)]\nmod tests {\n    fn helper() {}\n}\nfn helper() {}\n";
+        let o = own(src);
+        let flags = export_reach(&[CrateFile {
+            src: &o.src,
+            lexed: &o.lexed,
+            index: &o.index,
+        }]);
+        for (ii, item) in o.index.items.iter().enumerate() {
+            if item.name == "helper" {
+                assert_eq!(
+                    flags[0][ii], !item.is_test,
+                    "test helper must stay unreached"
+                );
             }
         }
     }
@@ -361,10 +309,7 @@ mod tests {
 
     #[test]
     fn turbofish_counts_as_a_call() {
-        let (owned, r) =
-            reach(&["// lint: hot-path\nfn root() { let _ = gather::<u32>(); }\nfn gather() {}\n"]);
-        let idx = &owned[0].index;
-        let pos = |n: &str| idx.items.iter().position(|i| i.name == n).expect("item");
-        assert!(r.is_hot(0, pos("gather")));
+        let r = reach(&["fn render_json() { let _ = gather::<u32>(); }\nfn gather() {}\n"]);
+        assert!(r(0, "gather"));
     }
 }

@@ -10,11 +10,10 @@
 //! 2. **Which function owns this token?** Every `fn` item is recorded
 //!    with its name and the token range of its body, so findings carry
 //!    a stable scope and the call graph has nodes to connect.
-//! 3. **What did the author annotate?** `// lint: hot-path` marks the
-//!    next `fn` as a hot-path root; `// lint: allow(<rule>) -- <reason>`
-//!    suppresses that rule on the directive's own line and the line
-//!    below. Unattached or malformed directives are reported, so the
-//!    annotation layer cannot rot silently.
+//! 3. **What did the author suppress?** `// lint: allow(<rule>) --
+//!    <reason>` suppresses that rule on the directive's own line and the
+//!    line below. Malformed directives are reported, so the annotation
+//!    layer cannot rot silently.
 
 use crate::lexer::{Lexed, Token, TokenKind};
 
@@ -23,18 +22,12 @@ use crate::lexer::{Lexed, Token, TokenKind};
 pub struct Item {
     /// Bare function name (last path segment only).
     pub name: String,
-    /// Token index of the name.
-    pub name_token: usize,
-    /// 1-based source line of the signature.
-    pub line: u32,
     /// Token indices of the body's `{` and its matching `}`; `None` for
     /// bodiless declarations (trait methods, extern fns).
     pub body: Option<(usize, usize)>,
     /// True when the item lives under `#[cfg(test)]` (or the whole file
     /// is test code by path).
     pub is_test: bool,
-    /// True when a `// lint: hot-path` directive annotates this item.
-    pub hot_root: bool,
     /// Self type of the enclosing `impl` block, if any — the last path
     /// segment (`impl fmt::Display for Finding` → `Finding`). Lets the
     /// call graph resolve `Type::name(…)` to the right `fn name`.
@@ -65,8 +58,6 @@ pub struct FileIndex {
     pub allows: Vec<InlineAllow>,
     /// `lint:` directives that did not parse: (line, body).
     pub bad_directives: Vec<(u32, String)>,
-    /// `hot-path` directive lines that attached to no function.
-    pub stale_hot: Vec<u32>,
     /// Whole file is test code (path under `tests/`, or `#![cfg(test)]`).
     pub file_test: bool,
     /// For each token index of a `{`, the token index of its matching
@@ -174,22 +165,14 @@ pub fn index_file(src: &str, lexed: &Lexed, file_test: bool) -> FileIndex {
     }
 
     // --- Pass 3: directives ----------------------------------------------
-    // Parsed up front so hot-path lines can be consumed by pass 4.
-    let mut hot_lines: Vec<(u32, bool)> = Vec::new(); // (line, consumed)
     for d in &lexed.directives {
-        if d.body == "hot-path" {
-            hot_lines.push((d.line, false));
-        } else if let Some(rest) = d.body.strip_prefix("allow(") {
-            match parse_allow(rest) {
-                Some((rule, reason)) => out.allows.push(InlineAllow {
-                    rule,
-                    reason,
-                    line: d.line,
-                }),
-                None => out.bad_directives.push((d.line, d.body.clone())),
-            }
-        } else {
-            out.bad_directives.push((d.line, d.body.clone()));
+        match d.body.strip_prefix("allow(").and_then(parse_allow) {
+            Some((rule, reason)) => out.allows.push(InlineAllow {
+                rule,
+                reason,
+                line: d.line,
+            }),
+            None => out.bad_directives.push((d.line, d.body.clone())),
         }
     }
 
@@ -214,23 +197,11 @@ pub fn index_file(src: &str, lexed: &Lexed, file_test: bool) -> FileIndex {
             && toks[i + 1].kind == TokenKind::Ident
         {
             let name_token = i + 1;
-            let line = toks[name_token].line;
             let body = find_body(toks, src, name_token + 1, &out.brace_match);
             // A span from `#[cfg(test)] fn lone() { … }` starts at the
             // body brace, after the name token — check both.
             let is_test =
                 out.in_test(name_token) || body.is_some_and(|(open, _)| out.in_test(open));
-            // A hot-path directive attaches to the first fn at or below
-            // its line, within 8 lines (room for doc comments and
-            // attributes in between).
-            let mut hot_root = false;
-            for (dline, consumed) in hot_lines.iter_mut() {
-                if !*consumed && *dline <= line && line - *dline <= 8 {
-                    *consumed = true;
-                    hot_root = true;
-                    break;
-                }
-            }
             // Innermost impl block containing the name token.
             let owner = impls
                 .iter()
@@ -239,20 +210,12 @@ pub fn index_file(src: &str, lexed: &Lexed, file_test: bool) -> FileIndex {
                 .map(|(_, _, ty)| ty.clone());
             out.items.push(Item {
                 name: toks[name_token].text(src).to_string(),
-                name_token,
-                line,
                 body,
                 is_test,
-                hot_root,
                 owner,
             });
         }
         i += 1;
-    }
-    for (dline, consumed) in &hot_lines {
-        if !consumed {
-            out.stale_hot.push(*dline);
-        }
     }
     out
 }
@@ -494,22 +457,6 @@ mod tests {
                 .expect("live")
                 .is_test
         );
-    }
-
-    #[test]
-    fn hot_path_directive_attaches_to_next_fn() {
-        let src = "// lint: hot-path\n/// Docs between directive and item are fine.\npub fn solve() {}\nfn cold() {}\n";
-        let idx = index(src);
-        assert!(idx.items[0].hot_root, "solve should be a hot root");
-        assert!(!idx.items[1].hot_root);
-        assert!(idx.stale_hot.is_empty());
-    }
-
-    #[test]
-    fn unattached_hot_directive_is_reported() {
-        let src = "// lint: hot-path\n\n\n\n\n\n\n\n\n\nstatic X: u32 = 0;\n";
-        let idx = index(src);
-        assert_eq!(idx.stale_hot, vec![1]);
     }
 
     #[test]

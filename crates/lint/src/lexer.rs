@@ -17,8 +17,8 @@
 //!
 //! Comments are not tokens, but line comments whose body starts with
 //! `lint:` are captured as [`Directive`]s — the annotation channel the
-//! item index uses for `// lint: hot-path` roots and
-//! `// lint: allow(<rule>) -- <reason>` site-level suppressions.
+//! item index uses for `// lint: allow(<rule>) -- <reason>` site-level
+//! suppressions.
 //!
 //! The lexer is total: any byte sequence lexes without panicking
 //! (unterminated strings and comments run to end of file), a property
@@ -65,7 +65,7 @@ impl Token {
 }
 
 /// A captured `// lint: …` comment. `body` is the text after `lint:`,
-/// trimmed (e.g. `hot-path` or `allow(no-expect) -- reason`).
+/// trimmed (e.g. `allow(no-expect) -- reason`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Directive {
     /// 1-based line the comment starts on.
@@ -577,11 +577,11 @@ mod tests {
 
     #[test]
     fn directives_are_captured_with_lines() {
-        let src = "// lint: hot-path\nfn f() {}\n//   lint: allow(no-expect) -- reason\n";
+        let src = "// lint: not-a-rule\nfn f() {}\n//   lint: allow(no-expect) -- reason\n";
         let lexed = lex(src);
         assert_eq!(lexed.directives.len(), 2);
         assert_eq!(lexed.directives[0].line, 1);
-        assert_eq!(lexed.directives[0].body, "hot-path");
+        assert_eq!(lexed.directives[0].body, "not-a-rule");
         assert_eq!(lexed.directives[1].line, 3);
         assert_eq!(lexed.directives[1].body, "allow(no-expect) -- reason");
     }

@@ -1,14 +1,14 @@
-//! # datagrid-lint v2
+//! # datagrid-lint
 //!
 //! Token-level static analyzer for the datagrid workspace. The
-//! simulation makes determinism and allocation promises that `rustc`
-//! cannot check; v1 encoded them as per-line pattern rules, and v2 grows
-//! that into a real (still dependency-free) analysis pipeline:
+//! simulation makes determinism and robustness promises that neither
+//! `rustc` nor clippy can check, so this crate encodes them as rules
+//! over a real (still dependency-free) analysis pipeline:
 //!
 //! ```text
-//! lexer  →  item index  →  call graph  →  rules  →  allowlists  →  baseline
-//! (spans)   (fns, cfg(test),  (hot-path /    (token    (inline + file)  (ratchet)
-//!            directives)       export reach)  patterns)
+//! lexer  →  item index  →  call graph  →  rules  →  allowlists
+//! (spans)   (fns, cfg(test),  (export      (token    (inline + file)
+//!            directives)       reach)       patterns)
 //! ```
 //!
 //! | rule | what it denies | where |
@@ -20,11 +20,15 @@
 //! | `hash-iter-export` | `HashMap`/`HashSet` reachable from a render/export root | every crate |
 //! | `no-println` | console macros | library crates |
 //! | `forbid-unsafe` | crate root missing `#![forbid(unsafe_code)]` | every crate |
-//! | `alloc-in-hot-path` | allocation constructs reachable from a `// lint: hot-path` root | every crate |
 //! | `float-eq` | `==`/`!=` against float literals | outside sanctioned modules |
-//! | `cast-narrowing` | `<id-ish> as <narrower int>` | every crate |
 //! | `wildcard-match` | `_ =>` over model-checked event/state enums | every crate |
-//! | `stale-allow` / `stale-baseline` / `stale-inline-allow` / `stale-directive` / `bad-directive` | suppressions or annotations that no longer bite | hygiene |
+//! | `stale-allow` / `stale-inline-allow` / `bad-directive` | suppressions that no longer bite, or do not parse | hygiene |
+//!
+//! Allocation on the simulation's hot paths is checked by measurement
+//! instead, in the counting-allocator tests (`crates/simnet/tests/
+//! alloc_steady.rs`, `crates/core/tests/alloc_steady.rs`,
+//! `crates/sysmon/tests/alloc_battery.rs`); truncating `as` casts by
+//! `clippy::cast_possible_truncation` in the crates that mint ids.
 //!
 //! Suppression layers, from narrowest to widest:
 //!
@@ -32,21 +36,15 @@
 //!    line above) — site-level, audited, reported when stale.
 //! 2. `lint-allow.txt` `<rule> <path> -- <reason>` — file-level, audited,
 //!    reported when stale.
-//! 3. `ci/lint_baseline.json` — fingerprinted legacy debt; new findings
-//!    fail `--deny`, entries matching nothing fail as `stale-baseline`,
-//!    so the baseline can only shrink.
 //!
-//! Findings export as machine-readable JSON ([`render_findings_json`])
-//! with severities and stable fingerprints (see [`baseline`]).
+//! `--deny` fails on any finding neither layer covers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod baseline;
 pub mod callgraph;
 pub mod index;
-pub mod json;
 pub mod lexer;
 pub mod rules;
 
@@ -56,38 +54,10 @@ use std::path::{Path, PathBuf};
 
 pub use rules::Config;
 
-/// Finding severity, carried in the JSON artifact. The `--deny` gate
-/// fails on any unbaselined finding regardless of severity; severity
-/// tells a human which to burn down first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// Violates a hard invariant (determinism, no-panic, hot-path purity).
-    Error,
-    /// Suspicious but sometimes legitimate (narrowing casts, wildcards).
-    Warning,
-}
-
-impl Severity {
-    /// Lowercase name for JSON.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Severity::Error => "error",
-            Severity::Warning => "warning",
-        }
-    }
-}
-
-fn severity_of(rule: &str) -> Severity {
-    match rule {
-        "cast-narrowing" | "wildcard-match" => Severity::Warning,
-        _ => Severity::Error,
-    }
-}
-
 /// One rule violation at a specific source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Stable rule identifier, e.g. `alloc-in-hot-path`.
+    /// Stable rule identifier, e.g. `float-eq`.
     pub rule: &'static str,
     /// Workspace-relative path with forward slashes.
     pub path: String,
@@ -95,12 +65,22 @@ pub struct Finding {
     pub line: usize,
     /// Enclosing function name, or `file` outside any function.
     pub scope: String,
-    /// Severity class.
-    pub severity: Severity,
     /// What was matched, trimmed for display.
     pub excerpt: String,
-    /// Stable fingerprint (see [`baseline::fingerprint`]).
-    pub fingerprint: String,
+}
+
+impl Finding {
+    /// A finding about a whole file (or a support file), outside any
+    /// function.
+    fn file_level(rule: &'static str, path: &str, line: usize, excerpt: String) -> Self {
+        Finding {
+            rule,
+            path: path.to_string(),
+            line,
+            scope: "file".to_string(),
+            excerpt,
+        }
+    }
 }
 
 impl fmt::Display for Finding {
@@ -129,11 +109,9 @@ pub struct AllowEntry {
 /// Scanner outcome: surviving findings plus walk statistics.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// Unallowed, unbaselined findings (the `--deny` gate) plus all
-    /// hygiene findings (stale allows/baseline entries/directives).
+    /// Unallowed findings (the `--deny` gate), including hygiene
+    /// findings (stale allows, bad directives).
     pub findings: Vec<Finding>,
-    /// Findings tolerated by the fingerprint baseline.
-    pub baselined: Vec<Finding>,
     /// Findings suppressed by inline or file-level allowlists.
     pub allowed: usize,
     /// Number of `.rs` files scanned.
@@ -141,18 +119,10 @@ pub struct Report {
 }
 
 impl Report {
-    /// True when the tree conforms (nothing unbaselined to report).
+    /// True when the tree conforms (nothing unallowed to report).
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty()
     }
-}
-
-/// Analyzer options beyond the built-in [`Config`].
-#[derive(Debug, Default, Clone)]
-pub struct Options {
-    /// Baseline file path. `None` uses `<root>/ci/lint_baseline.json`
-    /// when present, else an empty baseline.
-    pub baseline_path: Option<PathBuf>,
 }
 
 /// Errors from walking the workspace or parsing support files.
@@ -167,8 +137,6 @@ pub enum LintError {
         /// The offending text.
         text: String,
     },
-    /// The baseline file did not parse.
-    BadBaseline(String),
     /// Filesystem failure, with the path that caused it.
     Io(PathBuf, std::io::Error),
 }
@@ -183,7 +151,6 @@ impl fmt::Display for LintError {
                 f,
                 "lint-allow.txt:{line}: expected `<rule> <path> -- <reason>`, got `{text}`"
             ),
-            LintError::BadBaseline(msg) => write!(f, "{msg}"),
             LintError::Io(p, e) => write!(f, "{}: {e}", p.display()),
         }
     }
@@ -209,16 +176,12 @@ pub fn check_forbid_unsafe(rel_path: &str, source: &str) -> Option<Finding> {
     if source.contains("#![forbid(unsafe_code)]") {
         None
     } else {
-        let excerpt = "crate root is missing #![forbid(unsafe_code)]".to_string();
-        Some(Finding {
-            rule: "forbid-unsafe",
-            path: rel_path.to_string(),
-            line: 0,
-            scope: "file".to_string(),
-            severity: Severity::Error,
-            excerpt: excerpt.clone(),
-            fingerprint: baseline::fingerprint("forbid-unsafe", rel_path, "file", &excerpt, 0),
-        })
+        Some(Finding::file_level(
+            "forbid-unsafe",
+            rel_path,
+            0,
+            "crate root is missing #![forbid(unsafe_code)]".to_string(),
+        ))
     }
 }
 
@@ -257,12 +220,31 @@ struct AnalyzedFile {
     source: String,
     lexed: lexer::Lexed,
     index: index::FileIndex,
-    is_bin: bool,
-    is_lib_root: bool,
+}
+
+impl AnalyzedFile {
+    fn new(rel: String, source: String) -> Self {
+        let lexed = lexer::lex(&source);
+        let index = index::index_file(&source, &lexed, is_test_file(&rel));
+        AnalyzedFile {
+            rel,
+            source,
+            lexed,
+            index,
+        }
+    }
+
+    fn as_crate_file(&self) -> callgraph::CrateFile<'_> {
+        callgraph::CrateFile {
+            src: &self.source,
+            lexed: &self.lexed,
+            index: &self.index,
+        }
+    }
 }
 
 /// Scans one file in isolation (intra-file call graph only). The
-/// fixture tests and one-off checks use this; [`run_with`] uses the
+/// fixture tests and one-off checks use this; [`run`] uses the
 /// crate-level path below.
 pub fn scan_standalone(
     cfg: &Config,
@@ -270,25 +252,9 @@ pub fn scan_standalone(
     rel_path: &str,
     source: &str,
 ) -> Vec<Finding> {
-    let lexed = lexer::lex(source);
-    let idx = index::index_file(source, &lexed, is_test_file(rel_path));
-    let files = [callgraph::CrateFile {
-        src: source,
-        lexed: &lexed,
-        index: &idx,
-    }];
-    let reach = callgraph::analyze(&files);
-    let file = AnalyzedFile {
-        rel: rel_path.to_string(),
-        source: source.to_string(),
-        lexed,
-        index: idx,
-        is_bin: is_bin_file(rel_path),
-        is_lib_root: rel_path.ends_with("/lib.rs"),
-    };
-    let (mut findings, allowed) =
-        assemble_file_findings(cfg, crate_name, &file, &reach.hot[0], &reach.export[0]);
-    let _ = allowed;
+    let file = AnalyzedFile::new(rel_path.to_string(), source.to_string());
+    let export = callgraph::export_reach(&[file.as_crate_file()]);
+    let (mut findings, _allowed) = assemble_file_findings(cfg, crate_name, &file, &export[0]);
     findings.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     findings
 }
@@ -299,7 +265,6 @@ fn assemble_file_findings(
     cfg: &Config,
     crate_name: &str,
     file: &AnalyzedFile,
-    hot: &[bool],
     export: &[bool],
 ) -> (Vec<Finding>, usize) {
     let ctx = rules::FileContext {
@@ -309,86 +274,38 @@ fn assemble_file_findings(
         src: &file.source,
         lexed: &file.lexed,
         index: &file.index,
-        hot,
         export,
-        is_bin: file.is_bin,
+        is_bin: is_bin_file(&file.rel),
     };
-    let raw = rules::scan_file(&ctx);
     let lines: Vec<&str> = file.source.lines().collect();
-
-    // Assemble findings with fingerprints. Ordinals count duplicates of
-    // (rule, scope, normalized excerpt) within the file, in source
-    // order, so fingerprints survive unrelated churn.
-    let mut seen: Vec<(String, usize)> = Vec::new();
-    let mut findings: Vec<Finding> = Vec::new();
-    for rf in &raw {
-        let excerpt: String = lines
-            .get(rf.line.saturating_sub(1) as usize)
-            .map(|l| l.trim().chars().take(96).collect())
-            .unwrap_or_default();
-        let scope = rf
-            .token
-            .and_then(|t| file.index.enclosing_item(t))
-            .map(|i| file.index.items[i].name.clone())
-            .unwrap_or_else(|| "file".to_string());
-        let norm = baseline::normalize_excerpt(&excerpt);
-        let key = format!("{}\u{1f}{}\u{1f}{}", rf.rule, scope, norm);
-        let ordinal = match seen.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, n)) => {
-                *n += 1;
-                *n
-            }
-            None => {
-                seen.push((key, 0));
-                0
-            }
-        };
-        findings.push(Finding {
+    let mut findings: Vec<Finding> = rules::scan_file(&ctx)
+        .into_iter()
+        .map(|rf| Finding {
             rule: rf.rule,
             path: file.rel.clone(),
             line: rf.line as usize,
-            scope: scope.clone(),
-            severity: severity_of(rf.rule),
-            excerpt,
-            fingerprint: baseline::fingerprint(rf.rule, &file.rel, &scope, &norm, ordinal),
-        });
-    }
+            scope: rf
+                .token
+                .and_then(|t| file.index.enclosing_item(t))
+                .map(|i| file.index.items[i].name.clone())
+                .unwrap_or_else(|| "file".to_string()),
+            excerpt: lines
+                .get(rf.line.saturating_sub(1) as usize)
+                .map(|l| l.trim().chars().take(96).collect())
+                .unwrap_or_default(),
+        })
+        .collect();
 
-    // Crate-root unsafe check.
-    if file.is_lib_root {
+    if file.rel.ends_with("/lib.rs") {
         findings.extend(check_forbid_unsafe(&file.rel, &file.source));
     }
-
-    // Directive hygiene.
     for (line, body) in &file.index.bad_directives {
-        let excerpt = format!("unparseable directive `lint: {body}`");
-        findings.push(Finding {
-            rule: "bad-directive",
-            path: file.rel.clone(),
-            line: *line as usize,
-            scope: "file".to_string(),
-            severity: Severity::Error,
-            fingerprint: baseline::fingerprint("bad-directive", &file.rel, "file", &excerpt, 0),
-            excerpt,
-        });
-    }
-    for line in &file.index.stale_hot {
-        let excerpt = "`lint: hot-path` attaches to no function — move or delete it".to_string();
-        findings.push(Finding {
-            rule: "stale-directive",
-            path: file.rel.clone(),
-            line: *line as usize,
-            scope: "file".to_string(),
-            severity: Severity::Error,
-            fingerprint: baseline::fingerprint(
-                "stale-directive",
-                &file.rel,
-                "file",
-                &excerpt,
-                *line as usize,
-            ),
-            excerpt,
-        });
+        findings.push(Finding::file_level(
+            "bad-directive",
+            &file.rel,
+            *line as usize,
+            format!("unparseable directive `lint: {body}`"),
+        ));
     }
 
     // Inline allow layer: `// lint: allow(rule) -- reason` suppresses
@@ -409,25 +326,15 @@ fn assemble_file_findings(
     });
     for (ai, allow) in file.index.allows.iter().enumerate() {
         if !used[ai] {
-            let excerpt = format!(
-                "inline allow for `{}` suppresses nothing — delete it",
-                allow.rule
-            );
-            findings.push(Finding {
-                rule: "stale-inline-allow",
-                path: file.rel.clone(),
-                line: allow.line as usize,
-                scope: "file".to_string(),
-                severity: Severity::Error,
-                fingerprint: baseline::fingerprint(
-                    "stale-inline-allow",
-                    &file.rel,
-                    "file",
-                    &excerpt,
-                    allow.line as usize,
+            findings.push(Finding::file_level(
+                "stale-inline-allow",
+                &file.rel,
+                allow.line as usize,
+                format!(
+                    "inline allow for `{}` suppresses nothing — delete it",
+                    allow.rule
                 ),
-                excerpt,
-            });
+            ));
         }
     }
     (findings, allowed)
@@ -451,15 +358,10 @@ fn rust_files_under(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), LintError>
     Ok(())
 }
 
-/// Walks `crates/*/src` under `root` with default options.
-pub fn run(root: &Path) -> Result<Report, LintError> {
-    run_with(root, &Options::default())
-}
-
 /// Walks `crates/*/src` under `root`, applies every rule per crate
-/// (lexer → index → call graph → rules), subtracts the three allow
-/// layers, and reports stale entries at every layer.
-pub fn run_with(root: &Path, opts: &Options) -> Result<Report, LintError> {
+/// (lexer → index → call graph → rules), subtracts both allow layers,
+/// and reports stale entries at each.
+pub fn run(root: &Path) -> Result<Report, LintError> {
     let cfg = Config::default();
     let crates_dir = root.join("crates");
     if !crates_dir.is_dir() {
@@ -482,9 +384,8 @@ pub fn run_with(root: &Path, opts: &Options) -> Result<Report, LintError> {
             .file_name()
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_default();
-        let src = crate_dir.join("src");
         let mut files = Vec::new();
-        rust_files_under(&src, &mut files)?;
+        rust_files_under(&crate_dir.join("src"), &mut files)?;
         files.sort();
 
         // Analyze every file up front so the call graph sees the crate.
@@ -495,31 +396,15 @@ pub fn run_with(root: &Path, opts: &Options) -> Result<Report, LintError> {
                 .unwrap_or(file)
                 .to_string_lossy()
                 .replace('\\', "/");
-            let source = read(file)?;
-            report.files_scanned += 1;
-            let lexed = lexer::lex(&source);
-            let idx = index::index_file(&source, &lexed, is_test_file(&rel));
-            analyzed.push(AnalyzedFile {
-                is_bin: is_bin_file(&rel),
-                is_lib_root: rel.ends_with("/lib.rs"),
-                rel,
-                source,
-                lexed,
-                index: idx,
-            });
+            analyzed.push(AnalyzedFile::new(rel, read(file)?));
         }
-        let crate_files: Vec<callgraph::CrateFile<'_>> = analyzed
-            .iter()
-            .map(|f| callgraph::CrateFile {
-                src: &f.source,
-                lexed: &f.lexed,
-                index: &f.index,
-            })
-            .collect();
-        let reach = callgraph::analyze(&crate_files);
-        for (fi, file) in analyzed.iter().enumerate() {
+        report.files_scanned += analyzed.len();
+        let crate_files: Vec<callgraph::CrateFile<'_>> =
+            analyzed.iter().map(AnalyzedFile::as_crate_file).collect();
+        let export = callgraph::export_reach(&crate_files);
+        for (file, export) in analyzed.iter().zip(&export) {
             let (file_findings, inline_allowed) =
-                assemble_file_findings(&cfg, &crate_name, file, &reach.hot[fi], &reach.export[fi]);
+                assemble_file_findings(&cfg, &crate_name, file, export);
             report.allowed += inline_allowed;
             findings.extend(file_findings);
         }
@@ -533,7 +418,6 @@ pub fn run_with(root: &Path, opts: &Options) -> Result<Report, LintError> {
         Vec::new()
     };
     let mut used = vec![false; allow.len()];
-    let mut unallowed = Vec::new();
     for finding in findings {
         let covered = allow
             .iter()
@@ -543,156 +427,27 @@ pub fn run_with(root: &Path, opts: &Options) -> Result<Report, LintError> {
                 used[i] = true;
                 report.allowed += 1;
             }
-            None => unallowed.push(finding),
+            None => report.findings.push(finding),
         }
     }
     for (entry, used) in allow.iter().zip(&used) {
         if !used {
-            let excerpt = format!(
-                "entry `{} {}` no longer matches any finding — delete it",
-                entry.rule, entry.path
-            );
-            unallowed.push(Finding {
-                rule: "stale-allow",
-                path: "lint-allow.txt".to_string(),
-                line: entry.line,
-                scope: "file".to_string(),
-                severity: Severity::Error,
-                fingerprint: baseline::fingerprint(
-                    "stale-allow",
-                    "lint-allow.txt",
-                    "file",
-                    &excerpt,
-                    entry.line,
+            report.findings.push(Finding::file_level(
+                "stale-allow",
+                "lint-allow.txt",
+                entry.line,
+                format!(
+                    "entry `{} {}` no longer matches any finding — delete it",
+                    entry.rule, entry.path
                 ),
-                excerpt,
-            });
-        }
-    }
-
-    // Fingerprint baseline (the ratchet).
-    let baseline_path = opts
-        .baseline_path
-        .clone()
-        .unwrap_or_else(|| root.join("ci").join("lint_baseline.json"));
-    let base = if baseline_path.is_file() {
-        baseline::parse(&read(&baseline_path)?).map_err(LintError::BadBaseline)?
-    } else {
-        baseline::Baseline::default()
-    };
-    let mut matched = vec![false; base.entries.len()];
-    for finding in unallowed {
-        let hit = base
-            .entries
-            .iter()
-            .position(|e| e.fingerprint == finding.fingerprint);
-        match hit {
-            Some(i) => {
-                matched[i] = true;
-                report.baselined.push(finding);
-            }
-            None => report.findings.push(finding),
-        }
-    }
-    for (entry, matched) in base.entries.iter().zip(&matched) {
-        if !matched {
-            let excerpt = format!(
-                "baseline entry `{}` ({} {}) matches no finding — the ratchet only shrinks: delete it",
-                entry.fingerprint, entry.rule, entry.path
-            );
-            report.findings.push(Finding {
-                rule: "stale-baseline",
-                path: "ci/lint_baseline.json".to_string(),
-                line: 0,
-                scope: "file".to_string(),
-                severity: Severity::Error,
-                fingerprint: baseline::fingerprint(
-                    "stale-baseline",
-                    "ci/lint_baseline.json",
-                    "file",
-                    &excerpt,
-                    0,
-                ),
-                excerpt,
-            });
+            ));
         }
     }
 
     report
         .findings
-        .sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    report
-        .baselined
         .sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     Ok(report)
-}
-
-/// Renders the machine-readable findings artifact: every finding (new
-/// and baselined) with rule, severity, location, scope and fingerprint.
-pub fn render_findings_json(report: &Report) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"tool\": \"datagrid-lint\",\n");
-    out.push_str("  \"version\": 2,\n");
-    out.push_str(&format!(
-        "  \"files_scanned\": {},\n  \"allowed\": {},\n",
-        report.files_scanned, report.allowed
-    ));
-    out.push_str("  \"findings\": [");
-    let mut first = true;
-    let mut emit = |f: &Finding, status: &str, out: &mut String| {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!(
-            "\n    {{\"fingerprint\": \"{}\", \"rule\": \"{}\", \"severity\": \"{}\", \"status\": \"{}\", \"path\": \"{}\", \"line\": {}, \"scope\": \"{}\", \"excerpt\": \"{}\"}}",
-            json::escape(&f.fingerprint),
-            json::escape(f.rule),
-            f.severity.as_str(),
-            status,
-            json::escape(&f.path),
-            f.line,
-            json::escape(&f.scope),
-            json::escape(&f.excerpt),
-        ));
-    };
-    for f in &report.findings {
-        emit(f, "new", &mut out);
-    }
-    for f in &report.baselined {
-        emit(f, "baselined", &mut out);
-    }
-    if !report.findings.is_empty() || !report.baselined.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("],\n");
-    out.push_str(&format!(
-        "  \"summary\": {{\"new\": {}, \"baselined\": {}}}\n}}\n",
-        report.findings.len(),
-        report.baselined.len()
-    ));
-    out
-}
-
-/// Renders the current unallowed findings as a baseline document
-/// (`--write-baseline`).
-pub fn render_baseline(report: &Report) -> String {
-    let entries: Vec<baseline::BaselineEntry> = report
-        .findings
-        .iter()
-        .chain(report.baselined.iter())
-        .filter(|f| {
-            f.rule != "stale-baseline" && f.rule != "stale-allow" && f.rule != "stale-inline-allow"
-        })
-        .map(|f| baseline::BaselineEntry {
-            fingerprint: f.fingerprint.clone(),
-            rule: f.rule.to_string(),
-            path: f.path.clone(),
-            note: format!("line {} ({})", f.line, f.scope),
-        })
-        .collect();
-    baseline::render(&entries)
 }
 
 #[cfg(test)]
@@ -744,33 +499,6 @@ mod tests {
         assert_eq!(ok[0].rule, "no-panic");
         assert!(parse_allowlist("no-panic crates/x.rs\n").is_err());
         assert!(parse_allowlist("no-panic -- why\n").is_err());
-    }
-
-    #[test]
-    fn findings_json_is_valid_and_carries_fingerprints() {
-        let cfg = Config::default();
-        let src = "fn f() { x.unwrap(); }\n";
-        let findings = scan_standalone(&cfg, "core", "crates/core/src/x.rs", src);
-        let report = Report {
-            findings,
-            ..Report::default()
-        };
-        let text = render_findings_json(&report);
-        let doc = json::parse(&text).expect("valid JSON");
-        let arr = doc
-            .get("findings")
-            .and_then(json::Json::as_arr)
-            .expect("arr");
-        assert_eq!(arr.len(), 1);
-        assert_eq!(
-            arr[0].get("rule").and_then(json::Json::as_str),
-            Some("no-unwrap")
-        );
-        let fp = arr[0]
-            .get("fingerprint")
-            .and_then(json::Json::as_str)
-            .expect("fp");
-        assert_eq!(fp.len(), 16);
     }
 
     #[test]

@@ -6,17 +6,8 @@
 //! a multi-line block comment or raw string can match, and nothing real
 //! can hide in one.
 //!
-//! New families:
+//! Families that need more than one line of context:
 //!
-//! - **`alloc-in-hot-path`** — allocation constructors
-//!   (`Vec::new`/`with_capacity`/`from`, `Box::new`, `vec!`, `format!`,
-//!   `.collect()`, `.clone()`, `.to_string()`, `.to_owned()`,
-//!   `.to_vec()`) inside any function reachable from a
-//!   `// lint: hot-path` root. The static twin of the counting-allocator
-//!   tests: those prove the steady state allocates zero bytes at two
-//!   probe points; this rule watches every line of every function the
-//!   hot path can reach. Amortised-growth calls (`Vec::push`) are out of
-//!   scope — the dynamic probes own those.
 //! - **`hash-iter-export`** — `HashMap`/`HashSet` mentioned in any
 //!   function reachable from an export root (`render_*`, `*snapshot*`,
 //!   `emit_*`, …): hash iteration order must never feed a rendered
@@ -24,10 +15,6 @@
 //! - **`float-eq`** — `==`/`!=` adjacent to a float literal outside the
 //!   sanctioned comparison modules (solver tolerances live there on
 //!   purpose).
-//! - **`cast-narrowing`** — `<id-ish> as <narrower int>` where the
-//!   source reads like an identifier or counter (`…id`, `…count`,
-//!   `len`, `seq`, `epoch`, `slot`, `version`, …): ids must not be
-//!   silently truncated as the federation work multiplies their range.
 //! - **`wildcard-match`** — `_ =>` arms in matches over the event/state
 //!   enums that `core::grid::modelcheck` explores exhaustively; a new
 //!   variant must be handled (or rejected) explicitly, never absorbed.
@@ -87,8 +74,6 @@ pub struct FileContext<'a> {
     pub lexed: &'a Lexed,
     /// Item index.
     pub index: &'a FileIndex,
-    /// Per-item hot-path reachability (parallel to `index.items`).
-    pub hot: &'a [bool],
     /// Per-item export reachability (parallel to `index.items`).
     pub export: &'a [bool],
     /// True for `src/bin/*` / `main.rs` entry points.
@@ -109,23 +94,6 @@ pub struct RawFinding {
 
 const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
 const PRINT_MACROS: [&str; 5] = ["println", "eprintln", "print", "eprint", "dbg"];
-const ALLOC_CONTAINERS: [&str; 10] = [
-    "Vec", "Box", "String", "VecDeque", "BTreeMap", "BTreeSet", "HashMap", "HashSet", "Rc", "Arc",
-];
-const ALLOC_CTORS: [&str; 3] = ["new", "with_capacity", "from"];
-const ALLOC_METHODS: [&str; 6] = [
-    "collect",
-    "cloned",
-    "clone",
-    "to_string",
-    "to_owned",
-    "to_vec",
-];
-const ALLOC_MACROS: [&str; 2] = ["vec", "format"];
-const NARROW_INTS: [&str; 6] = ["u8", "u16", "u32", "i8", "i16", "i32"];
-const ID_SUFFIXES: [&str; 9] = [
-    "id", "idx", "index", "count", "len", "seq", "epoch", "slot", "version",
-];
 
 fn text<'a>(ctx: &FileContext<'a>, i: usize) -> &'a str {
     ctx.lexed
@@ -145,13 +113,6 @@ fn is_ident(ctx: &FileContext<'_>, i: usize, any_of: &[&str]) -> bool {
 
 fn is_punct(ctx: &FileContext<'_>, i: usize, p: &str) -> bool {
     kind(ctx, i) == Some(TokenKind::Punct) && text(ctx, i) == p
-}
-
-/// True when the item owning token `i` is hot-path-reachable.
-fn in_hot(ctx: &FileContext<'_>, i: usize) -> bool {
-    ctx.index
-        .enclosing_item(i)
-        .is_some_and(|item| ctx.hot.get(item).copied().unwrap_or(false))
 }
 
 fn in_export_reach(ctx: &FileContext<'_>, i: usize) -> bool {
@@ -228,45 +189,6 @@ pub fn scan_file(ctx: &FileContext<'_>) -> Vec<RawFinding> {
             push!("hash-iter-export", i);
         }
 
-        // --- alloc-in-hot-path ---------------------------------------------
-        if in_hot(ctx, i) {
-            if is_ident(ctx, i, &ALLOC_CONTAINERS) && is_punct(ctx, i + 1, "::") {
-                // `Vec::new`, `Vec::<u8>::new`, `String::from`, …
-                let mut j = i + 2;
-                if is_punct(ctx, j, "<") {
-                    let mut angle = 0i64;
-                    while j < toks.len() {
-                        match text(ctx, j) {
-                            "<" => angle += 1,
-                            "<<" => angle += 2,
-                            ">" => angle -= 1,
-                            ">>" => angle -= 2,
-                            _ => {}
-                        }
-                        j += 1;
-                        if angle <= 0 {
-                            break;
-                        }
-                    }
-                    if is_punct(ctx, j, "::") {
-                        j += 1;
-                    }
-                }
-                if is_ident(ctx, j, &ALLOC_CTORS) {
-                    push!("alloc-in-hot-path", i);
-                }
-            }
-            if is_ident(ctx, i, &ALLOC_MACROS) && is_punct(ctx, i + 1, "!") {
-                push!("alloc-in-hot-path", i);
-            }
-            if is_punct(ctx, i, ".")
-                && is_ident(ctx, i + 1, &ALLOC_METHODS)
-                && (is_punct(ctx, i + 2, "(") || is_punct(ctx, i + 2, "::"))
-            {
-                push!("alloc-in-hot-path", i + 1);
-            }
-        }
-
         // --- float-safety --------------------------------------------------
         if !float_sanctioned
             && (is_punct(ctx, i, "==") || is_punct(ctx, i, "!="))
@@ -277,60 +199,12 @@ pub fn scan_file(ctx: &FileContext<'_>) -> Vec<RawFinding> {
             push!("float-eq", i);
         }
 
-        // --- cast-narrowing ------------------------------------------------
-        if is_ident(ctx, i, &["as"]) && is_ident(ctx, i + 1, &NARROW_INTS) && i > 0 {
-            if let Some(name) = cast_source_name(ctx, i - 1) {
-                let lower = name.to_ascii_lowercase();
-                if ID_SUFFIXES
-                    .iter()
-                    .any(|s| lower == *s || lower.ends_with(s))
-                {
-                    push!("cast-narrowing", i);
-                }
-            }
-        }
-
         // --- wildcard-match ------------------------------------------------
         if is_ident(ctx, i, &["match"]) {
             scan_match(ctx, i, &watched, &mut out);
         }
     }
     out
-}
-
-/// The identifier naming the value being cast, looking back from the
-/// token before `as`: either a bare ident or, for `x.len() as u32`, the
-/// method name before the call parens.
-fn cast_source_name<'a>(ctx: &FileContext<'a>, mut j: usize) -> Option<&'a str> {
-    if is_punct(ctx, j, ")") {
-        // Walk back to the matching open paren.
-        let mut depth = 0i64;
-        loop {
-            match text(ctx, j) {
-                ")" => depth += 1,
-                "(" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            if j == 0 {
-                return None;
-            }
-            j -= 1;
-        }
-        if j == 0 {
-            return None;
-        }
-        j -= 1;
-    }
-    if kind(ctx, j) == Some(TokenKind::Ident) {
-        Some(text(ctx, j))
-    } else {
-        None
-    }
 }
 
 /// Scans one `match` expression (starting at the `match` keyword) for a
@@ -434,7 +308,7 @@ mod tests {
             lexed: &lexed,
             index: &index,
         }];
-        let reach = callgraph::analyze(&files);
+        let export = callgraph::export_reach(&files);
         let ctx = FileContext {
             cfg: &cfg,
             crate_name,
@@ -442,8 +316,7 @@ mod tests {
             src,
             lexed: &lexed,
             index: &index,
-            hot: &reach.hot[0],
-            export: &reach.export[0],
+            export: &export[0],
             is_bin: rel_path.contains("/src/bin/") || rel_path.ends_with("/main.rs"),
         };
         scan_file(&ctx)
@@ -479,25 +352,6 @@ mod tests {
     }
 
     #[test]
-    fn alloc_in_hot_path_fires_only_in_hot_reachable_fns() {
-        let src = "// lint: hot-path\nfn settle() { helper(); }\nfn helper() { let v = Vec::new(); let s = x.to_string(); }\nfn cold() { let v = Vec::new(); }\n";
-        let got = scan("simnet", "crates/simnet/src/engine.rs", src);
-        assert_eq!(
-            got,
-            vec![("alloc-in-hot-path", 3), ("alloc-in-hot-path", 3)]
-        );
-    }
-
-    #[test]
-    fn alloc_patterns_cover_macros_turbofish_and_ctors() {
-        let src = "// lint: hot-path\nfn hot() {\n    let a = vec![1];\n    let b = format!(\"x\");\n    let c = items.iter().collect::<Vec<_>>();\n    let d = Box::new(1);\n    let e = Vec::<u8>::with_capacity(4);\n}\n";
-        let got = scan("simnet", "crates/simnet/src/engine.rs", src);
-        let lines: Vec<u32> = got.iter().map(|(_, l)| *l).collect();
-        assert_eq!(lines, vec![3, 4, 5, 6, 7]);
-        assert!(got.iter().all(|(r, _)| *r == "alloc-in-hot-path"));
-    }
-
-    #[test]
     fn float_eq_fires_near_float_literals_but_not_in_sanctioned_files() {
         let src = "fn f(x: f64) -> bool { x == 0.0 }\n";
         assert_eq!(
@@ -512,13 +366,6 @@ mod tests {
             "fn g(n: u32) -> bool { n == 0 }\n"
         )
         .is_empty());
-    }
-
-    #[test]
-    fn cast_narrowing_flags_id_like_sources_only() {
-        let src = "fn f(flow_id: u64, ratio: f64) {\n    let a = flow_id as u32;\n    let b = items.len() as u32;\n    let c = ratio as u32;\n}\n";
-        let got = scan("core", "crates/core/src/x.rs", src);
-        assert_eq!(got, vec![("cast-narrowing", 2), ("cast-narrowing", 3)]);
     }
 
     #[test]

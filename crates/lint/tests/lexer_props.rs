@@ -48,7 +48,7 @@ const FRAGMENTS: [&str; 24] = [
     "/* unterminated",
     "\"unterminated str",
     "r#\"unterminated raw",
-    "// lint: hot-path\n",
+    "// lint: not-a-rule\n",
     "// lint: allow(no-unwrap) -- reason\n",
     "'a>",
     "'x'",

@@ -79,11 +79,6 @@ impl RingBufferSink {
     pub fn ring(&self) -> &RingBuffer {
         &self.ring
     }
-
-    /// Consume the sink, keeping its history.
-    pub fn into_ring(self) -> RingBuffer {
-        self.ring
-    }
 }
 
 impl EventSink for RingBufferSink {

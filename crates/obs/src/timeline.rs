@@ -197,20 +197,9 @@ impl TimelineRecorder {
         }
     }
 
-    /// Override how many hottest links the exporters surface.
-    pub fn with_top_k(mut self, top_k: usize) -> Self {
-        self.top_k = top_k.max(1);
-        self
-    }
-
     /// Window width in simulated seconds.
     pub fn window_secs(&self) -> f64 {
         self.window.as_secs_f64()
-    }
-
-    /// The link labels this recorder samples, in link-index order.
-    pub fn link_names(&self) -> &[String] {
-        &self.links
     }
 
     /// Number of windows opened so far.

@@ -71,17 +71,6 @@ impl BackgroundProfile {
         }
     }
 
-    /// Sets the lognormal shape parameter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigma` is negative or non-finite.
-    pub fn with_size_sigma(mut self, sigma: f64) -> Self {
-        assert!(sigma >= 0.0 && sigma.is_finite(), "bad sigma {sigma}");
-        self.size_sigma = sigma;
-        self
-    }
-
     /// Sets a per-flow rate ceiling.
     pub fn with_flow_cap(mut self, cap: Bandwidth) -> Self {
         self.flow_cap = Some(cap);
@@ -149,11 +138,6 @@ impl BackgroundTraffic {
     /// The profiles collected so far.
     pub fn profiles(&self) -> &[BackgroundProfile] {
         &self.profiles
-    }
-
-    /// Consumes the set, returning the profiles.
-    pub fn into_profiles(self) -> Vec<BackgroundProfile> {
-        self.profiles
     }
 }
 

@@ -28,6 +28,7 @@
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, DefaultHasher};
 use std::sync::Arc;
 
 use crate::background::BackgroundProfile;
@@ -427,12 +428,11 @@ impl CompScratch {
         self.flow_stamp.shrink_to_fit();
         self.link_stamp.truncate(links);
         self.link_stamp.shrink_to_fit();
-        // Each allow covers its own line and the next:
-        self.flows = Vec::new(); // lint: allow(alloc-in-hot-path) -- Vec::new is alloc-free; auto-shrink releases capacity
+        self.flows = Vec::new();
         self.links = Vec::new();
-        self.class_entry = Vec::new(); // lint: allow(alloc-in-hot-path) -- Vec::new is alloc-free; auto-shrink releases capacity
+        self.class_entry = Vec::new();
         self.entry_class = Vec::new();
-        self.entry_slot = Vec::new(); // lint: allow(alloc-in-hot-path) -- Vec::new is alloc-free; auto-shrink releases capacity
+        self.entry_slot = Vec::new();
         self.entry_weight = Vec::new();
     }
 
@@ -575,8 +575,11 @@ pub struct NetSim {
     flows: Vec<Option<FlowState>>,
     free_slots: Vec<u32>,
     /// Live flow id -> slot (lookups only; never iterated, so the hash
-    /// map's order cannot leak into the timeline).
-    id_slots: HashMap<FlowId, u32>,
+    /// map's order cannot leak into the timeline). Fixed hash keys: a
+    /// per-process random seed would only make the moment the table
+    /// resizes, and with it the engine's allocation count, differ from one
+    /// process to the next.
+    id_slots: HashMap<FlowId, u32, BuildHasherDefault<DefaultHasher>>,
     /// Per-link index: slots of the flows crossing each link.
     link_flows: Vec<Vec<u32>>,
     /// Live flows' (route, cap) classes.
@@ -634,9 +637,24 @@ pub struct NetSim {
     batch_deferred: u64,
 }
 
+/// A flow slot as the `u32` the per-link and component indexes store.
+/// Lossless: `start_flow` grows `flows` only through `u32::try_from`, so
+/// every slot (and the slot count) fits.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "slots are minted through u32::try_from in start_flow"
+)]
+fn slot_u32(slot: usize) -> u32 {
+    slot as u32
+}
+
 impl NetSim {
     /// Creates a simulator over `topo`, seeding all engine randomness
     /// (background traffic) from `seed`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "link ids are minted by Topology::add_link through u32::try_from, so every index below the link count fits"
+    )]
     pub fn new(topo: Topology, seed: u64) -> Self {
         let routing = RoutingTable::compute(&topo);
         let link_caps: Vec<f64> = topo
@@ -652,7 +670,7 @@ impl NetSim {
             link_caps,
             flows: Vec::new(),
             free_slots: Vec::new(),
-            id_slots: HashMap::new(),
+            id_slots: HashMap::default(),
             link_flows: vec![Vec::new(); link_count],
             classes: FlowClasses::default(),
             active_flows: 0,
@@ -720,12 +738,6 @@ impl NetSim {
         self.mode = mode;
     }
 
-    /// Whether same-instant event cohorts are solved as one batch
-    /// (default: `true`).
-    pub fn event_batching_enabled(&self) -> bool {
-        self.batching
-    }
-
     /// Arms or disarms same-instant cohort batching. When armed, internal
     /// events sharing a timestamp (simultaneous completions, fault edges,
     /// background arrivals) apply all their flow mutations first and then
@@ -739,11 +751,6 @@ impl NetSim {
         self.batching = enabled;
     }
 
-    /// Whether every solve is re-certified in place (see [`crate::verify`]).
-    pub fn validation_enabled(&self) -> bool {
-        self.validate
-    }
-
     /// Turns per-solve allocation certification on or off at runtime.
     ///
     /// Defaults on in debug builds and under the `validate` cargo feature;
@@ -752,12 +759,6 @@ impl NetSim {
     /// immediately — a wrong allocation must never settle a byte.
     pub fn set_validation(&mut self, enabled: bool) {
         self.validate = enabled;
-    }
-
-    /// Whether the automatic low-water scratch compaction is armed
-    /// (default: `true`).
-    pub fn auto_shrink_enabled(&self) -> bool {
-        self.auto_shrink
     }
 
     /// Arms or disarms the automatic low-water [`NetSim::shrink_scratch`]
@@ -783,7 +784,7 @@ impl NetSim {
     ///
     /// Returns the first [`Violation`] that falsifies the certificate.
     pub fn verify_allocation(&self) -> Result<Certificate, Violation> {
-        let live: Vec<u32> = (0..self.flows.len() as u32)
+        let live: Vec<u32> = (0..slot_u32(self.flows.len()))
             .filter(|&s| self.flows[s as usize].is_some())
             .collect();
         self.verify_scope(&live, &self.all_links)
@@ -828,7 +829,7 @@ impl NetSim {
         for (slot, f) in self.flows.iter().enumerate() {
             if let Some(f) = f {
                 entries.push((
-                    slot as u32,
+                    slot_u32(slot),
                     f.rate_bps.to_bits(),
                     f.remaining.to_bits(),
                     f.last_update,
@@ -990,7 +991,7 @@ impl NetSim {
         // `peak` are indexed by raw link id so the bottleneck pass below
         // can look route links up directly.
         // Covers this line and the next:
-        let mut sat = vec![false; self.link_caps.len()]; // lint: allow(alloc-in-hot-path) -- certificate validation path, gated by the validate flag
+        let mut sat = vec![false; self.link_caps.len()];
         let mut peak = vec![0.0f64; self.link_caps.len()];
         for &l in links {
             let crossing = &self.link_flows[l as usize];
@@ -1167,7 +1168,7 @@ impl NetSim {
         let links = self.link_caps.len();
         self.comp.shrink(slots, links);
         self.solver.shrink();
-        self.trans.entries = Vec::new(); // lint: allow(alloc-in-hot-path) -- alloc-free capacity release
+        self.trans.entries = Vec::new();
         let mut probe = self.probe.borrow_mut();
         probe.comp.shrink(slots, links);
         probe.solver.shrink();
@@ -1524,7 +1525,6 @@ impl NetSim {
     /// probe flow is active and no timer is pending. (Background traffic
     /// alone never produces public events, so the engine refuses to spin on
     /// it forever.)
-    // lint: hot-path
     pub fn next_event(&mut self) -> Option<SimEvent> {
         loop {
             if let Some(ev) = self.pending.pop_front() {
@@ -1655,7 +1655,7 @@ impl NetSim {
         for &l in route.iter() {
             self.comp.add_link(l);
         }
-        self.comp.add_flow(slot as u32, &self.flows);
+        self.comp.add_flow(slot_u32(slot), &self.flows);
     }
 
     /// Defers the re-solve for a flow that disappeared while a cohort is
@@ -1736,6 +1736,10 @@ impl NetSim {
                 };
                 let next =
                     self.now + SimDuration::from_secs_f64(rng.exponential(p.arrival_rate_hz));
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "a background flow size is a finite byte count at least 1; `as` saturates rather than wraps"
+                )]
                 let spec = FlowSpec {
                     src: p.src,
                     dst: p.dst,
@@ -1751,7 +1755,7 @@ impl NetSim {
                 self.stats.fault_transitions += 1;
                 let kind = self.faults[index].fault.kind;
                 self.faults[index].active = start && !kind.is_instant();
-                let mut drop_seeds = Vec::new(); // lint: allow(alloc-in-hot-path) -- fault path, not steady dispatch
+                let mut drop_seeds = Vec::new();
                 if let FaultKind::ConnectionDrop { node } = kind {
                     drop_seeds = self.drop_connections_through(node);
                 }
@@ -1808,14 +1812,14 @@ impl NetSim {
     /// detect the loss through their own timeouts.
     fn drop_connections_through(&mut self, node: NodeId) -> Vec<LinkId> {
         let incident = self.topo.incident_links(node);
-        let mut victims: Vec<u32> = Vec::new(); // lint: allow(alloc-in-hot-path) -- fault path, not steady dispatch
+        let mut victims: Vec<u32> = Vec::new();
         for (slot, f) in self.flows.iter().enumerate() {
             let Some(f) = f else { continue };
             if f.src == node || f.dst == node || f.route.iter().any(|l| incident.contains(l)) {
-                victims.push(slot as u32);
+                victims.push(slot_u32(slot));
             }
         }
-        let mut seeds: Vec<LinkId> = Vec::new(); // lint: allow(alloc-in-hot-path) -- fault path, not steady dispatch
+        let mut seeds: Vec<LinkId> = Vec::new();
         for &slot in &victims {
             let f = self.remove_flow(slot as usize);
             seeds.extend_from_slice(&f.route);
@@ -1828,7 +1832,6 @@ impl NetSim {
     /// the old settle-the-world pass: exact because a flow's rate is
     /// constant between rate assignments, so integration can be deferred
     /// until the rate is about to change or progress is read.
-    // lint: hot-path
     fn settle_flow(&mut self, slot: usize) {
         let now = self.now;
         let f = self.flows[slot].as_mut().expect("settle of dead slot");
@@ -1852,7 +1855,7 @@ impl NetSim {
                 .expect("flow indexed on its route links");
             lf.swap_remove(pos);
         }
-        self.free_slots.push(slot as u32);
+        self.free_slots.push(slot_u32(slot));
         self.net_version += 1;
         self.active_flows -= 1;
         if !matches!(f.tag, FlowTag::Background) {
@@ -1879,7 +1882,7 @@ impl NetSim {
             SolverMode::Full => self.resolve_everything(),
             SolverMode::Incremental => {
                 self.comp.begin(self.flows.len(), self.link_caps.len());
-                self.comp.add_flow(slot as u32, &self.flows);
+                self.comp.add_flow(slot_u32(slot), &self.flows);
                 self.comp.expand(&self.flows, &self.link_flows);
                 self.solve_component();
             }
@@ -1908,7 +1911,6 @@ impl NetSim {
     /// Runs progressive filling over the component currently held in
     /// `self.comp`, then settles and reschedules exactly the flows whose
     /// rate actually changed.
-    // lint: hot-path
     fn solve_component(&mut self) {
         let n = self.comp.flows.len();
         if n == 0 {
@@ -1991,7 +1993,7 @@ impl NetSim {
         for slot in 0..self.flows.len() {
             if self.flows[slot].is_some() {
                 self.settle_flow(slot);
-                self.comp.flows.push(slot as u32);
+                self.comp.flows.push(slot_u32(slot));
             }
         }
         let n = self.comp.flows.len();
@@ -2056,7 +2058,7 @@ impl NetSim {
         self.queue.push(
             when,
             Internal::Completion {
-                slot: slot as u32,
+                slot: slot_u32(slot),
                 epoch,
             },
         );

@@ -273,6 +273,10 @@ mod tests {
     use super::*;
 
     #[test]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "fault start times in the test are a few seconds"
+    )]
     fn plan_sorts_by_start_time() {
         let plan = FaultPlan::new()
             .host_blackout(

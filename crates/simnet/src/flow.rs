@@ -126,12 +126,11 @@ impl MaxMinSolver {
     /// Buffers retain the high-water entry/link counts otherwise; the
     /// engine calls this from [`crate::engine::NetSim::shrink_scratch`].
     pub fn shrink(&mut self) {
-        // Each allow covers its own line and the next:
-        self.rate = Vec::new(); // lint: allow(alloc-in-hot-path) -- Vec::new is alloc-free; shrink releases capacity
+        self.rate = Vec::new();
         self.left = Vec::new();
-        self.cap = Vec::new(); // lint: allow(alloc-in-hot-path) -- Vec::new is alloc-free; shrink releases capacity
+        self.cap = Vec::new();
         self.remaining = Vec::new();
-        self.users = Vec::new(); // lint: allow(alloc-in-hot-path) -- Vec::new is alloc-free; shrink releases capacity
+        self.users = Vec::new();
         self.singles = Vec::new();
     }
 
@@ -355,6 +354,10 @@ impl MaxMinSolver {
 ///
 /// Panics if a route references a link id outside `link_capacity_bps`, or a
 /// capacity/cap is negative or NaN.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "link indices come from LinkId, which is u32 by construction"
+)]
 pub fn max_min_allocation(flows: &[FlowDemand<'_>], link_capacity_bps: &[f64]) -> Vec<f64> {
     for &c in link_capacity_bps {
         assert!(c >= 0.0 && !c.is_nan(), "negative or NaN link capacity {c}");
@@ -512,6 +515,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "test topology has a handful of links"
+    )]
     fn reused_solver_matches_fresh_allocation() {
         // The same solver instance run back to back over different problems
         // must give exactly the answers of one-shot calls: buffer reuse
@@ -631,6 +638,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "rng.below bounds each draw to a handful of values"
+    )]
     fn conservation_and_feasibility_random() {
         // A deterministic pseudo-random stress: many flows over a small
         // grid of links; check feasibility invariants.

@@ -99,6 +99,10 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `n == 0`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "Lemire's method keeps the low 64 bits of the 128-bit product on purpose"
+    )]
     pub fn below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "below(0) is empty");
         // Lemire-style rejection for unbiased sampling.
@@ -220,6 +224,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::cast_possible_truncation, reason = "rng.below(7) is below 7")]
     fn below_is_in_range_and_covers() {
         let mut rng = SimRng::seed_from_u64(11);
         let mut seen = [false; 7];

@@ -197,6 +197,10 @@ pub fn median(xs: &[f64]) -> f64 {
 /// order statistics (0 when empty). `q` is clamped to `[0, 1]`; the input
 /// need not be sorted. Used by the benchmark harness for latency
 /// percentiles.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "pos lies in [0, len - 1], so its floor and ceil are valid indices"
+)]
 pub fn percentile(xs: &[f64], q: f64) -> f64 {
     if xs.is_empty() {
         return 0.0;

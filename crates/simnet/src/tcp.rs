@@ -146,7 +146,7 @@ impl TcpParams {
             .log2()
             .ceil()
             .max(0.0);
-        if rounds == 0.0 {
+        if rounds <= 0.0 {
             return SimDuration::ZERO;
         }
         // Bytes sent while ramping: W0 * (2^rounds - 1) ≈ target_window.

@@ -144,6 +144,10 @@ impl SimDuration {
     }
 }
 
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the asserts above bound nanos to [0, u64::MAX]"
+)]
 fn secs_to_nanos(secs: f64) -> u64 {
     assert!(
         secs.is_finite() && secs >= 0.0,

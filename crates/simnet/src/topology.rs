@@ -265,6 +265,10 @@ impl Topology {
     }
 
     /// All node ids.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "node ids are minted by Topology::add_node through u32::try_from, so every index below the node count fits"
+    )]
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.nodes.len() as u32).map(NodeId)
     }
@@ -279,6 +283,10 @@ impl Topology {
     }
 
     /// Looks a node up by display name (linear scan; topologies are small).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "node ids are minted by Topology::add_node through u32::try_from, so every index below the node count fits"
+    )]
     pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
         self.nodes
             .iter()
@@ -488,6 +496,10 @@ pub struct RoutingTable {
 
 impl RoutingTable {
     /// Computes routes for every ordered node pair.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "node ids are minted by Topology::add_node through u32::try_from, so every index below the node count fits"
+    )]
     pub fn compute(topo: &Topology) -> Self {
         let n = topo.node_count();
         let mut routes = Vec::with_capacity(n);

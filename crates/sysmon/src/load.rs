@@ -182,11 +182,6 @@ impl LoadProcess {
         self.interval
     }
 
-    /// Number of steps taken so far.
-    pub fn step_count(&self) -> u64 {
-        self.step
-    }
-
     /// Advances one step and returns the new utilisation.
     pub fn advance(&mut self) -> f64 {
         self.step += 1;

@@ -274,16 +274,6 @@ pub fn write_obs_dump(grid: &DataGrid, dir: &Path, label: &str) -> std::io::Resu
     Ok(written)
 }
 
-/// Formats seconds compactly for tables.
-pub fn fmt_secs(secs: f64) -> String {
-    format!("{secs:.1}")
-}
-
-/// Formats a bandwidth in Mbps for tables.
-pub fn fmt_mbps(mbps: f64) -> String {
-    format!("{mbps:.1}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

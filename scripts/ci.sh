@@ -25,14 +25,15 @@ step_bench_build() { step bench-build cargo build -p datagrid-bench; }
 step_test() { step test cargo test -q; }
 step_fmt() { step fmt cargo fmt --check; }
 step_clippy() { step clippy cargo clippy --all-targets -- -D warnings; }
-# Token-level static analysis: the v1 pattern rules plus hot-path
-# allocation tracking (`// lint: hot-path` roots + call-graph
-# reachability), determinism rules (hash containers on export paths),
-# float comparisons and narrowing casts. New findings fail against the
-# ratcheting fingerprint baseline in ci/lint_baseline.json (which may
-# only shrink); site/file suppressions need an audited reason. The JSON
-# findings artifact lands in target/lint_findings.json for upload.
-step_lint() { step lint cargo run -q -p datagrid-lint -- --deny --json target/lint_findings.json; }
+# Token-level static analysis of what the compiler cannot check: panics
+# and unwraps outside audited invariants, wall clocks in simulation
+# crates, hash containers feeding exports, float `==`, wildcard arms on
+# model-checked enums, console output from libraries and a missing
+# `#![forbid(unsafe_code)]`. Any finding that neither an inline
+# `// lint: allow` nor lint-allow.txt covers fails, and so does a stale
+# allow at either layer. Hot-path allocation is gated by the
+# counting-allocator tests in `test`, truncating casts by `clippy`.
+step_lint() { step lint cargo run -q -p datagrid-lint -- --deny; }
 # Max-min certificate enforcement in release mode: the `validate` feature
 # keeps the solver's per-settle certificate check on where
 # debug_assertions would normally turn it off, then re-runs the simnet
