@@ -26,7 +26,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use datagrid_bench::{banner, emit_engine_observability, MB};
+use datagrid_bench::{banner, emit_engine_observability, env_usize, extract_number, MB};
 use datagrid_simnet::engine::{EventKind, FlowSpec, NetSim, SolverMode};
 use datagrid_simnet::time::SimDuration;
 use datagrid_simnet::topology::{Bandwidth, LinkSpec, NodeId, Topology};
@@ -41,13 +41,6 @@ fn mode_label(mode: SolverMode) -> &'static str {
         SolverMode::Full => "full",
         SolverMode::Incremental => "incremental",
     }
-}
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
 }
 
 /// One solver-mode run of one figure.
@@ -247,17 +240,6 @@ fn render_json(figures: &[Figure]) -> String {
     }
     out.push_str("  ]\n}\n");
     out
-}
-
-/// Extracts `"key": <number>` from the (known, flat-ish) JSON we wrote.
-fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// CI smoke: re-read the emitted file and validate the key throughput

@@ -17,7 +17,7 @@
 //! | `ablation_security` | FTP vs GridFTP PROT C/S/P cost |
 //! | `ablation_replication` | dynamic replica creation strategies |
 //! | `scale` | simulation-core settle throughput (`BENCH_simnet.json`) |
-//! | `grid_scale` | multi-client replay sweep, static vs contention-aware (`BENCH_grid.json`) |
+//! | `grid_scale` | multi-client replay sweep, static vs contention-aware, with phase profile and health timeline (`BENCH_grid.json`) |
 //! | `fuzz` | seeded differential fuzzing of paired engine configurations |
 //!
 //! The sweep bins fan independent cells out with
@@ -145,6 +145,43 @@ pub fn emit_engine_observability(sim: &datagrid_simnet::engine::NetSim, label: &
         ),
         Err(err) => eprintln!("observability: dump to {} failed: {err}", dir.display()),
     }
+}
+
+/// Reads a comma-separated list of counts from environment variable
+/// `name`, falling back to `default` when it is unset, empty or holds no
+/// parsable entry.
+pub fn env_list(name: &str, default: &[usize]) -> Vec<usize> {
+    std::env::var(name)
+        .ok()
+        .map(|s| {
+            s.split(',')
+                .filter_map(|part| part.trim().parse().ok())
+                .collect::<Vec<usize>>()
+        })
+        .filter(|v| !v.is_empty())
+        .unwrap_or_else(|| default.to_vec())
+}
+
+/// Reads a count from environment variable `name`, falling back to
+/// `default` when it is unset or does not parse.
+pub fn env_usize(name: &str, default: usize) -> usize {
+    std::env::var(name)
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(default)
+}
+
+/// Extracts the first `"key": <number>` from one of the flat,
+/// hand-rendered JSON reports the bins write. A needle scan, not a JSON
+/// parser: the reports' shape is known, and it needs no dependency.
+pub fn extract_number(json: &str, key: &str) -> Option<f64> {
+    let needle = format!("\"{key}\":");
+    let at = json.find(&needle)? + needle.len();
+    let rest = json[at..].trim_start();
+    let end = rest
+        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
 }
 
 /// Lowercases `s` and replaces every non-alphanumeric run with a single

@@ -14,10 +14,22 @@
 //! latency percentiles, solver settle counters, failover counts, scratch
 //! high-water marks) render into the deterministic `BENCH_grid.json`
 //! body via [`GridScaleReport::render_json`].
+//!
+//! Every cell also carries the grid's continuous telemetry: a sim-time
+//! health timeline ([`datagrid_obs::timeline`]) attached after warm-up,
+//! and the replay driver's phase profiler ([`datagrid_obs::prof`]) read
+//! back after the run. Those add the replay-scoped hot-path counters —
+//! decisions and settles per simulated second, solver passes per
+//! decision, score-scratch hits and misses, per-phase call/item counts —
+//! that `ci/grid_budget.json` gates. With the `prof-timing` feature,
+//! per-phase wall-clock milliseconds are added; those fields, and only
+//! those, vary run to run.
 
 use std::fmt::Write as _;
 
 use datagrid_core::prelude::{DataGrid, FetchOptions, RecoveryOptions, SelectionMode};
+use datagrid_obs::prof::TIMING_ENABLED;
+use datagrid_obs::PhaseStat;
 use datagrid_simnet::stats::percentile;
 use datagrid_simnet::time::SimDuration;
 
@@ -25,6 +37,10 @@ use crate::experiment::{obs_dump, ObsDump};
 use crate::par::par_map;
 use crate::sites::{paper_testbed, HIT_HOSTS, LIZEN_HOSTS, THU_HOSTS};
 use crate::workload::{grid_workload, GridWorkload, GridWorkloadSpec};
+
+/// Sim-time width of each health-timeline window. The timeline only
+/// observes, so the width changes no other cell number.
+const TIMELINE_WINDOW: SimDuration = SimDuration::from_secs(60);
 
 /// Configuration of one grid-scale sweep (everything except the client
 /// count, which is the sweep axis).
@@ -51,10 +67,6 @@ pub struct GridScaleConfig {
     /// after the replay. Costs solver time; never changes the numbers, so
     /// `BENCH_grid.json` stays byte-identical either way.
     pub verify: bool,
-    /// Attach a sim-time health timeline with this window width after
-    /// warm-up, so the replay's link utilization / latency / decision
-    /// history is recorded per window (`None` = no timeline).
-    pub timeline: Option<SimDuration>,
     /// Batch same-instant event cohorts into one solver settle (the
     /// engine default). `false` forces the per-event solve path — the
     /// differential-testing half of the batching-equivalence property:
@@ -74,7 +86,6 @@ impl Default for GridScaleConfig {
             mode: SelectionMode::ContentionAware,
             parallelism: 0,
             verify: false,
-            timeline: None,
             batching: true,
         }
     }
@@ -121,14 +132,43 @@ pub struct GridScaleCell {
     pub scratch_high_water: usize,
     /// Scratch element capacity after [`DataGrid::shrink_network_scratch`].
     pub scratch_after_shrink: usize,
+    /// Selection decisions made (initial picks plus failover re-picks).
+    pub decisions: u64,
+    /// Decisions per simulated second of makespan.
+    pub decisions_per_sec: f64,
+    /// Events settled by the replay driver (the `settle` phase's calls).
+    pub settles: u64,
+    /// Settles per simulated second of makespan.
+    pub settles_per_sec: f64,
+    /// Solver passes (incremental + full) the replay itself ran, warm-up
+    /// excluded — unlike the lifetime `incremental_solves + full_solves`.
+    pub replay_solves: u64,
+    /// Replay solver passes per selection decision: how much solver work
+    /// one client arrival costs. Cohort batching and the score scratch
+    /// both push this down.
+    pub solves_per_decision: f64,
+    /// Candidate rankings served from the reusable score scratch.
+    pub scratch_hits: u64,
+    /// Candidate rankings that had to be recomputed.
+    pub scratch_misses: u64,
+    /// Health-timeline windows the replay spanned.
+    pub windows: usize,
+    /// The replay driver's phase profile, depth-first.
+    pub phases: Vec<PhaseStat>,
 }
 
-/// One executed cell: the numbers plus the full observability dump
-/// (events, audit, metrics) of the cell's grid.
+/// One executed cell: the numbers plus every rendered telemetry surface
+/// of the cell's grid.
 #[derive(Debug, Clone)]
 pub struct GridScaleRun {
     /// The deterministic cell numbers.
     pub cell: GridScaleCell,
+    /// The cell's health timeline as deterministic JSON.
+    pub timeline_json: String,
+    /// The rendered grid health report (per-window table + hottest links).
+    pub health_report: String,
+    /// The phase profile as a text table.
+    pub prof_text: String,
     /// The cell grid's observability export.
     pub obs: ObsDump,
 }
@@ -151,13 +191,15 @@ impl GridScaleReport {
         }
     }
 
-    /// Renders the deterministic `BENCH_grid.json` body: same seed (and
-    /// any `DATAGRID_JOBS`) ⇒ byte-identical output. No wall-clock or
-    /// environment data is included.
+    /// Renders the `BENCH_grid.json` body. In default builds it is
+    /// deterministic: same seed (and any `DATAGRID_JOBS`) ⇒ byte-identical
+    /// output. With `prof-timing` the per-phase `total_ms`/`self_ms`
+    /// fields are added and the top-level `"timing"` flag flips to `true`.
     pub fn render_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n  \"name\": \"grid-scale\",\n");
         let _ = writeln!(out, "  \"seed\": {},", self.seed);
+        let _ = writeln!(out, "  \"timing\": {TIMING_ENABLED},");
         out.push_str("  \"cells\": [\n");
         for (i, c) in self.cells.iter().enumerate() {
             out.push_str("    {\n");
@@ -193,9 +235,48 @@ impl GridScaleReport {
             );
             let _ = writeln!(
                 out,
-                "      \"scratch_after_shrink\": {}",
+                "      \"scratch_after_shrink\": {},",
                 c.scratch_after_shrink
             );
+            let _ = writeln!(out, "      \"decisions\": {},", c.decisions);
+            let _ = writeln!(
+                out,
+                "      \"decisions_per_sec\": {:.6},",
+                c.decisions_per_sec
+            );
+            let _ = writeln!(out, "      \"settles\": {},", c.settles);
+            let _ = writeln!(out, "      \"settles_per_sec\": {:.6},", c.settles_per_sec);
+            let _ = writeln!(out, "      \"replay_solves\": {},", c.replay_solves);
+            let _ = writeln!(
+                out,
+                "      \"solves_per_decision\": {:.6},",
+                c.solves_per_decision
+            );
+            let _ = writeln!(out, "      \"scratch_hits\": {},", c.scratch_hits);
+            let _ = writeln!(out, "      \"scratch_misses\": {},", c.scratch_misses);
+            let _ = writeln!(out, "      \"windows\": {},", c.windows);
+            out.push_str("      \"phases\": [\n");
+            for (j, p) in c.phases.iter().enumerate() {
+                let _ = write!(
+                    out,
+                    "        {{\"path\": \"{}\", \"depth\": {}, \"calls\": {}, \"items\": {}",
+                    p.path, p.depth, p.calls, p.items
+                );
+                if TIMING_ENABLED {
+                    let _ = write!(
+                        out,
+                        ", \"total_ms\": {:.3}, \"self_ms\": {:.3}",
+                        p.total_ns as f64 / 1e6,
+                        p.self_ns as f64 / 1e6
+                    );
+                }
+                out.push_str(if j + 1 == c.phases.len() {
+                    "}\n"
+                } else {
+                    "},\n"
+                });
+            }
+            out.push_str("      ]\n");
             out.push_str(if i + 1 == self.cells.len() {
                 "    }\n"
             } else {
@@ -252,21 +333,23 @@ pub fn build_cell(seed: u64, clients: usize, cfg: &GridScaleConfig) -> (DataGrid
         .install(&mut grid)
         .expect("generated workload installs cleanly");
     grid.warm_up(cfg.warm);
-    if let Some(window) = cfg.timeline {
-        // After warm-up, so the timeline (and its solver-work attribution)
-        // covers only the replay itself.
-        grid.enable_timeline(window);
-    }
+    // After warm-up, so the timeline (and its solver-work attribution)
+    // covers only the replay itself.
+    grid.enable_timeline(TIMELINE_WINDOW);
     (grid, workload)
 }
 
 /// Runs one sweep cell to completion: build, warm up, replay, measure,
-/// compact scratch, export observability.
+/// read back the profiler and timeline, compact scratch, export
+/// observability.
 pub fn run_grid_scale_cell(seed: u64, clients: usize, cfg: &GridScaleConfig) -> GridScaleRun {
     let (mut grid, workload) = build_cell(seed, clients, cfg);
     let jobs = workload.jobs(&grid);
     let options = FetchOptions::default().with_parallelism(cfg.parallelism);
     let recovery = RecoveryOptions::default();
+    // Engine counters are lifetime totals; diff across the replay so
+    // `replay_solves` counts replay work only, not warm-up churn.
+    let pre = grid.network().stats();
     let report = grid
         .replay_concurrent(&jobs, options, &recovery)
         .expect("generated workloads only fail per-job");
@@ -281,13 +364,35 @@ pub fn run_grid_scale_cell(seed: u64, clients: usize, cfg: &GridScaleConfig) -> 
         .map(|o| o.latency().as_secs_f64())
         .collect();
     let stats = grid.network().stats();
-    // The satellite fix in action: compact the engine scratch between
-    // sweeps and report how much the burst had pinned.
+    let replay_solves =
+        stats.incremental_solves + stats.full_solves - (pre.incremental_solves + pre.full_solves);
+    let decisions = grid.metrics_snapshot().counter("selection.decisions");
+    let (scratch_hits, scratch_misses) = grid.score_scratch_stats();
+    let snapshot = grid.profiler().snapshot();
+    let settles = snapshot
+        .phases
+        .iter()
+        .find(|p| p.path == "settle")
+        .map_or(0, |p| p.calls);
+    let timeline = grid.timeline().expect("build_cell attached the timeline");
+    let windows = timeline.window_count();
+    let timeline_json = timeline.render_json();
+    let health_report = timeline.render_health_report();
+    let prof_text = snapshot.render_text();
+    // Compact the engine scratch between sweeps and report how much the
+    // burst had pinned.
     let scratch_high_water = grid.network().scratch_footprint();
     grid.shrink_network_scratch();
     let scratch_after_shrink = grid.network().scratch_footprint();
     let completed = report.completed();
     let makespan_s = report.makespan().as_secs_f64();
+    let per_sec = |n: u64| {
+        if makespan_s > 0.0 {
+            n as f64 / makespan_s
+        } else {
+            0.0
+        }
+    };
     let cell = GridScaleCell {
         clients,
         mode: cfg.mode.label(),
@@ -296,11 +401,7 @@ pub fn run_grid_scale_cell(seed: u64, clients: usize, cfg: &GridScaleConfig) -> 
         failed: report.failed(),
         failovers: report.outcomes.iter().map(|o| u64::from(o.failovers)).sum(),
         makespan_s,
-        fetches_per_sec: if makespan_s > 0.0 {
-            completed as f64 / makespan_s
-        } else {
-            0.0
-        },
+        fetches_per_sec: per_sec(completed as u64),
         p50_s: percentile(&latencies, 0.50),
         p95_s: percentile(&latencies, 0.95),
         p99_s: percentile(&latencies, 0.99),
@@ -312,9 +413,26 @@ pub fn run_grid_scale_cell(seed: u64, clients: usize, cfg: &GridScaleConfig) -> 
         solves_avoided: stats.solves_avoided,
         scratch_high_water,
         scratch_after_shrink,
+        decisions,
+        decisions_per_sec: per_sec(decisions),
+        settles,
+        settles_per_sec: per_sec(settles),
+        replay_solves,
+        solves_per_decision: if decisions > 0 {
+            replay_solves as f64 / decisions as f64
+        } else {
+            0.0
+        },
+        scratch_hits,
+        scratch_misses,
+        windows,
+        phases: snapshot.phases,
     };
     GridScaleRun {
         cell,
+        timeline_json,
+        health_report,
+        prof_text,
         obs: obs_dump(&grid),
     }
 }
@@ -345,6 +463,15 @@ mod tests {
         }
     }
 
+    /// The cell minus its phase wall-clock times, the only fields that
+    /// vary run to run (and only in `prof-timing` builds).
+    fn counts_only(mut cell: GridScaleCell) -> GridScaleCell {
+        for p in &mut cell.phases {
+            (p.total_ns, p.self_ns) = (0, 0);
+        }
+        cell
+    }
+
     #[test]
     fn small_sweep_completes_and_renders() {
         let cfg = small_cfg();
@@ -357,22 +484,52 @@ mod tests {
             assert!(run.cell.p50_s > 0.0);
             assert!(run.cell.p99_s >= run.cell.p50_s);
             assert!(run.cell.scratch_after_shrink <= run.cell.scratch_high_water);
+            assert!(run.cell.settles > 0, "replay settled no events");
+            assert!(
+                run.cell.decisions >= run.cell.clients as u64,
+                "every job decides at least once"
+            );
+            assert!(run.cell.windows > 0, "timeline recorded no windows");
+            let paths: Vec<&str> = run.cell.phases.iter().map(|p| p.path.as_str()).collect();
+            for phase in ["settle", "settle/solve", "decide", "dispatch"] {
+                assert!(paths.contains(&phase), "missing phase {phase} in {paths:?}");
+            }
+            assert!(run.timeline_json.contains("\"windows\""));
+            assert!(run.health_report.contains("hottest link"));
+            assert!(run.prof_text.contains("decide"));
             assert!(run.obs.events_jsonl.contains("replay.end"));
         }
         let report = GridScaleReport::from_runs(7, &runs);
         let json = report.render_json();
         assert!(json.contains("\"clients\": 5"));
+        assert!(json.contains("\"decisions_per_sec\""));
+        assert!(json.contains("\"settles_per_sec\""));
+        assert!(json.contains("\"path\": \"settle/solve\""));
+        let flag = format!("\"timing\": {TIMING_ENABLED}");
+        assert!(json.contains(&flag), "{json}");
         assert!(json.ends_with("}\n"));
     }
 
     #[test]
     fn sweep_is_seed_deterministic() {
         let cfg = small_cfg();
-        let a = GridScaleReport::from_runs(11, &run_grid_scale(11, &[3], &cfg));
-        let b = GridScaleReport::from_runs(11, &run_grid_scale(11, &[3], &cfg));
-        assert_eq!(a.render_json(), b.render_json());
-        let c = GridScaleReport::from_runs(12, &run_grid_scale(12, &[3], &cfg));
-        assert_ne!(a.render_json(), c.render_json());
+        let (a, b) = (
+            run_grid_scale(11, &[3], &cfg),
+            run_grid_scale(11, &[3], &cfg),
+        );
+        let c = run_grid_scale(12, &[3], &cfg);
+        let json =
+            |seed, runs: &[GridScaleRun]| GridScaleReport::from_runs(seed, runs).render_json();
+        if !TIMING_ENABLED {
+            assert_eq!(json(11, &a), json(11, &b));
+            assert_eq!(a[0].timeline_json, b[0].timeline_json);
+            assert_eq!(a[0].health_report, b[0].health_report);
+        }
+        // Counts are deterministic even with timing enabled.
+        assert_eq!(a[0].cell.decisions, b[0].cell.decisions);
+        assert_eq!(a[0].cell.settles, b[0].cell.settles);
+        assert_ne!(json(11, &a), json(12, &c));
+        assert_ne!(a[0].timeline_json, c[0].timeline_json);
     }
 
     #[test]
@@ -387,7 +544,7 @@ mod tests {
             },
         );
         // Certificate enforcement observes; it must never steer.
-        assert_eq!(plain.cell, verified.cell);
+        assert_eq!(counts_only(plain.cell), counts_only(verified.cell));
     }
 
     #[test]

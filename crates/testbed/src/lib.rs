@@ -9,11 +9,9 @@
 //! * [`workload`] — request workloads over replicated files, including
 //!   the deterministic multi-client grid-scale generator,
 //! * [`gridscale`] — the grid-scale sweep harness: N concurrent clients
-//!   replayed against one shared simulator, per-cell metrics and the
-//!   deterministic `BENCH_grid.json` body,
-//! * [`profile`] — the hot-path phase profile harness: the grid workload
-//!   replayed with health timelines and the phase profiler attached,
-//!   rendering the deterministic `BENCH_profile.json` body,
+//!   replayed against one shared simulator with the health timeline and
+//!   phase profiler attached, per-cell metrics and the deterministic
+//!   `BENCH_grid.json` body,
 //! * [`experiment`] — text-table rendering and the selection-quality
 //!   harness (oracle comparison) used by the benches,
 //! * [`fuzz`] — the seeded differential fuzzing harness: random
@@ -31,7 +29,6 @@ pub mod experiment;
 pub mod fuzz;
 pub mod gridscale;
 pub mod par;
-pub mod profile;
 pub mod sites;
 pub mod workload;
 
@@ -52,10 +49,6 @@ pub mod prelude {
         GridScaleConfig, GridScaleReport, GridScaleRun,
     };
     pub use crate::par::{par_map, worker_count};
-    pub use crate::profile::{
-        run_profile, run_profile_cell, ProfileCell, ProfileConfig, ProfilePhase, ProfileReport,
-        ProfileRun,
-    };
     pub use crate::sites::{canonical_host, paper_testbed, PaperSites};
     pub use crate::workload::{
         grid_workload, synthetic_files, GridWorkload, GridWorkloadSpec, Request, RequestTrace,

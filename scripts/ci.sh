@@ -43,10 +43,11 @@ step_validate() { step validate cargo test -q --release -p datagrid-simnet --fea
 # whose key throughput fields parse (scripts/bench.sh re-reads it with
 # `scale --check`).
 step_bench_smoke() { step bench-smoke scripts/bench.sh target/BENCH_simnet.json; }
-# Continuous-telemetry smoke: the profile benchmark must emit a valid
-# BENCH_profile.json that is byte-identical across same-seed runs, and
-# the prof-timing build must stay green (scripts/profile_smoke.sh).
-step_profile_smoke() { step profile-smoke scripts/profile_smoke.sh target/BENCH_profile.json; }
+# Grid-workload smoke: the grid_scale benchmark must emit a valid report
+# within ci/grid_budget.json whose cells equal the committed
+# BENCH_grid.json, the determinism property tests must hold, and the
+# prof-timing build must stay green (scripts/grid_smoke.sh).
+step_grid_smoke() { step grid-smoke scripts/grid_smoke.sh target/BENCH_grid.json; }
 # Differential fuzz smoke: a fixed-seed corpus of random scenarios must
 # agree across paired engine configurations, and the harness must catch
 # its own sabotage (scripts/fuzz_smoke.sh).
@@ -95,7 +96,7 @@ else
   step_clippy
   step_lint
   step_bench_smoke
-  step_profile_smoke
+  step_grid_smoke
   step_fuzz_smoke
   step_perfbench
   step_perfbench_digests

@@ -1,21 +1,27 @@
 #!/usr/bin/env bash
 # Runs the grid-level scale smoke: the multi-client replay benchmark at
-# reduced client counts, a cell-by-cell comparison with the committed
-# BENCH_grid.json, and the workload determinism property test.
+# reduced client counts, the deterministic perf budget, a cell-by-cell
+# comparison with the committed BENCH_grid.json, and the determinism
+# property tests.
 #
 #   scripts/grid_smoke.sh [out.json]
 #
 # Builds the bench crate in release mode, runs the `grid_scale` binary
 # (deterministic multi-client fetch replay, static and contention-aware
-# selection side by side), writes the JSON report (default:
-# target/BENCH_grid.json) and re-reads it with `grid_scale --check` so a
-# malformed report fails loudly. Every regenerated cell must then equal
-# the cell with the same client count and mode in the committed
-# BENCH_grid.json, field for field: the replay is deterministic, so a
-# change that moves any cell (a solver change, a scheduling change) fails
-# here until BENCH_grid.json is regenerated on purpose. Then runs the
-# determinism property test that pins same-seed ⇒ byte-identical reports
-# and obs exports. Not a wall-time gate.
+# selection side by side, health timeline and phase profiler attached),
+# writes the JSON report (default: target/BENCH_grid.json) and re-reads
+# it with `grid_scale --check` so a malformed report fails loudly. Gates
+# the hot-path work counters against `ci/grid_budget.json` with
+# `grid_scale --check-budget` (solver passes per decision, batching
+# savings, score-scratch misses — deterministic counters, not timings).
+# Every regenerated cell must then equal the cell with the same client
+# count and mode in the committed BENCH_grid.json, field for field: the
+# replay is deterministic, so a change that moves any cell (a solver
+# change, a scheduling change) fails here until BENCH_grid.json is
+# regenerated on purpose. Then runs the determinism property tests that
+# pin same-seed ⇒ byte-identical reports, obs exports and timelines, and
+# the obs suite with `prof-timing` enabled, proving the timed build still
+# compiles and its counts stay deterministic. Not a wall-time gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,6 +39,7 @@ cp "${REF}" target/BENCH_grid.ref.json
 cargo build --release -p datagrid-bench --bin grid_scale
 ./target/release/grid_scale --out "${OUT}"
 ./target/release/grid_scale --check "${OUT}"
+./target/release/grid_scale --check-budget ci/grid_budget.json "${OUT}"
 
 python3 - "${OUT}" target/BENCH_grid.ref.json <<'PY'
 import json
@@ -59,3 +66,5 @@ print(f"grid-smoke: {len(out['cells'])} cells match the committed BENCH_grid.jso
 PY
 
 cargo test --release --test workload_determinism
+cargo test --release --test timeline_determinism
+cargo test -q -p datagrid-obs --features prof-timing
