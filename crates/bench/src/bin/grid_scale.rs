@@ -22,7 +22,8 @@
 //! function of the seed; build with `--features prof-timing` to add
 //! per-phase wall-clock milliseconds (those fields, and only those, vary
 //! run to run). `grid_scale --check [path]` re-reads the file and
-//! validates the key fields parse — a schema check, not a perf gate.
+//! validates every cell's key fields parse — a schema check, not a perf
+//! gate.
 //! `grid_scale --check-budget <budget.json> [path]` gates the report's
 //! deterministic work counters against a budget (`ci/grid_budget.json`;
 //! see [`datagrid_bench::budget`]).
@@ -38,7 +39,7 @@
 //! is enforced as it happens and the settled post-replay allocation is
 //! re-verified. Slower, never changes the emitted numbers.
 
-use datagrid_bench::{banner, env_list, env_usize, extract_number, seed_from_args, OBS_DIR_ENV};
+use datagrid_bench::{banner, env_list, env_usize, seed_from_args, OBS_DIR_ENV};
 use datagrid_core::prelude::SelectionMode;
 use datagrid_obs::prof::TIMING_ENABLED;
 use datagrid_testbed::experiment::TextTable;
@@ -52,74 +53,13 @@ fn modes() -> Vec<SelectionMode> {
     }
 }
 
-/// CI smoke: re-read the emitted file and validate the key fields parse.
+/// CI smoke: re-read the emitted file and validate every cell's key
+/// fields parse.
 fn check(path: &str) -> Result<(), String> {
     let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    if !json.contains("\"grid-scale\"") {
-        return Err(format!("{path} is not a grid-scale report"));
-    }
-    if !json.contains("\"timing\": true") && !json.contains("\"timing\": false") {
-        return Err(format!("{path}: missing \"timing\" flag"));
-    }
-    for key in [
-        "clients",
-        "fetches",
-        "completed",
-        "makespan_s",
-        "fetches_per_sec",
-        "latency_p50_s",
-        "latency_p99_s",
-        "incremental_solves",
-        "decisions",
-        "decisions_per_sec",
-        "settles",
-        "settles_per_sec",
-        "replay_solves",
-        "solves_per_decision",
-        "windows",
-    ] {
-        let v = extract_number(&json, key)
-            .ok_or_else(|| format!("{path}: missing numeric field \"{key}\""))?;
-        if v.is_nan() || v <= 0.0 {
-            return Err(format!("{path}: field \"{key}\" = {v}, expected > 0"));
-        }
-    }
-    // Hot-path counters that may legitimately be zero (a tiny cell can
-    // batch nothing); present and non-negative is the shape contract.
-    for key in [
-        "event_cohorts",
-        "batched_solves",
-        "solves_avoided",
-        "scratch_hits",
-        "scratch_misses",
-    ] {
-        let v = extract_number(&json, key)
-            .ok_or_else(|| format!("{path}: missing numeric field \"{key}\""))?;
-        if v < 0.0 {
-            return Err(format!("{path}: field \"{key}\" = {v}, expected >= 0"));
-        }
-    }
-    for phase in ["settle", "settle/solve", "decide", "dispatch"] {
-        if !json.contains(&format!("\"path\": \"{phase}\"")) {
-            return Err(format!("{path}: missing phase entry \"{phase}\""));
-        }
-    }
-    let fetches = extract_number(&json, "fetches").unwrap_or(0.0);
-    let completed = extract_number(&json, "completed").unwrap_or(0.0);
-    if completed > fetches {
-        return Err(format!(
-            "{path}: completed {completed} exceeds fetches {fetches}"
-        ));
-    }
-    println!(
-        "{path}: ok ({:.0} clients, {:.0} fetches, {:.2} fetches/s, p50 {:.1}s, \
-         {:.2} solves/decision)",
-        extract_number(&json, "clients").unwrap_or(0.0),
-        fetches,
-        extract_number(&json, "fetches_per_sec").unwrap_or(0.0),
-        extract_number(&json, "latency_p50_s").unwrap_or(0.0),
-        extract_number(&json, "solves_per_decision").unwrap_or(0.0),
-    );
+    let summary =
+        datagrid_bench::schema::check_grid_report(&json).map_err(|e| format!("{path}: {e}"))?;
+    println!("{path}: {summary}");
     Ok(())
 }
 

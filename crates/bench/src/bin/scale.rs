@@ -18,7 +18,8 @@
 //! `$DATAGRID_BENCH_OUT`) with events/sec, settles/sec, flows sustained
 //! and wall time per figure, baseline and incremental side by side.
 //! `scale --check [path]` re-reads the file and validates the key
-//! throughput fields parse — the CI smoke test, not a perf gate.
+//! throughput fields of the headline and of every figure parse — the CI
+//! smoke test, not a perf gate.
 //! `--verify` turns on per-solve max-min certificate enforcement plus a
 //! peak-population [`NetSim::verify_allocation`] check per figure (wall
 //! times are then not comparable to unverified runs).
@@ -26,7 +27,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use datagrid_bench::{banner, emit_engine_observability, env_usize, extract_number, MB};
+use datagrid_bench::{banner, emit_engine_observability, env_usize, MB};
 use datagrid_simnet::engine::{EventKind, FlowSpec, NetSim, SolverMode};
 use datagrid_simnet::time::SimDuration;
 use datagrid_simnet::topology::{Bandwidth, LinkSpec, NodeId, Topology};
@@ -242,34 +243,15 @@ fn render_json(figures: &[Figure]) -> String {
     out
 }
 
-/// CI smoke: re-read the emitted file and validate the key throughput
-/// fields parse as positive numbers. Deliberately *not* a perf gate — CI
-/// machines are too noisy to assert the speedup itself.
+/// CI smoke: re-read the emitted file and validate that the headline and
+/// every figure's throughput fields parse as positive numbers.
+/// Deliberately *not* a perf gate — CI machines are too noisy to assert
+/// the speedup itself.
 fn check(path: &str) -> Result<(), String> {
     let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    if !json.contains("\"simnet-scale\"") {
-        return Err(format!("{path} is not a simnet-scale report"));
-    }
-    for key in [
-        "flows_sustained",
-        "events_per_sec",
-        "settles_per_sec",
-        "settle_throughput_speedup",
-        "wall_s",
-    ] {
-        let v = extract_number(&json, key)
-            .ok_or_else(|| format!("{path}: missing numeric field \"{key}\""))?;
-        if v.is_nan() || v <= 0.0 {
-            return Err(format!("{path}: field \"{key}\" = {v}, expected > 0"));
-        }
-    }
-    println!(
-        "{path}: ok ({} flows, {:.0} events/s, {:.0} settles/s, {:.1}x settle speedup)",
-        extract_number(&json, "flows_sustained").unwrap_or(0.0),
-        extract_number(&json, "events_per_sec").unwrap_or(0.0),
-        extract_number(&json, "settles_per_sec").unwrap_or(0.0),
-        extract_number(&json, "settle_throughput_speedup").unwrap_or(0.0),
-    );
+    let summary =
+        datagrid_bench::schema::check_scale_report(&json).map_err(|e| format!("{path}: {e}"))?;
+    println!("{path}: {summary}");
     Ok(())
 }
 

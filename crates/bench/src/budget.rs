@@ -22,7 +22,7 @@
 
 use std::fmt::Write as _;
 
-use crate::extract_number;
+use crate::{array_objects, extract_number};
 
 /// One `"clients": N, "mode": "..."` object sliced out of a flat JSON
 /// array body.
@@ -47,51 +47,24 @@ fn extract_string<'a>(json: &'a str, key: &str) -> Option<&'a str> {
     Some(&rest[..rest.find('"')?])
 }
 
-/// Splits the `"cells": [...]` array into per-cell fragments, keyed by
-/// their `"clients"` and `"mode"` fields. Cell objects in our reports are `{...}`
-/// blocks with no nested objects except the `phases` array, so scanning
-/// for balanced braces is sufficient.
+/// The `"cells": [...]` array's objects, keyed by their `"clients"` and
+/// `"mode"` fields.
 fn cells(json: &str) -> Result<Vec<Chunk>, String> {
-    let start = json
-        .find("\"cells\":")
-        .ok_or_else(|| "missing \"cells\" array".to_string())?;
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut cell_start = None;
-    for (i, c) in json[start..].char_indices() {
-        match c {
-            '{' => {
-                if depth == 0 {
-                    cell_start = Some(start + i);
-                }
-                depth += 1;
-            }
-            '}' => {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    if let Some(s) = cell_start.take() {
-                        let body = json[s..=start + i].to_string();
-                        let clients = extract_number(&body, "clients")
-                            .ok_or_else(|| "cell without \"clients\" field".to_string())?;
-                        let mode = extract_string(&body, "mode")
-                            .ok_or_else(|| format!("cell {clients} without \"mode\" field"))?
-                            .to_string();
-                        out.push(Chunk {
-                            clients: clients as u64,
-                            mode,
-                            body,
-                        });
-                    }
-                }
-            }
-            ']' if depth == 0 => break,
-            _ => {}
-        }
-    }
-    if out.is_empty() {
-        return Err("\"cells\" array is empty".to_string());
-    }
-    Ok(out)
+    array_objects(json, "cells")?
+        .into_iter()
+        .map(|body| {
+            let clients = extract_number(body, "clients")
+                .ok_or_else(|| "cell without \"clients\" field".to_string())?;
+            let mode = extract_string(body, "mode")
+                .ok_or_else(|| format!("cell {clients} without \"mode\" field"))?
+                .to_string();
+            Ok(Chunk {
+                clients: clients as u64,
+                mode,
+                body: body.to_string(),
+            })
+        })
+        .collect()
 }
 
 /// Checks one report cell against one budget cell. Budget keys are

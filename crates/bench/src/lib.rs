@@ -29,6 +29,7 @@
 #![warn(missing_docs)]
 
 pub mod budget;
+pub mod schema;
 
 use datagrid_core::grid::DataGrid;
 use datagrid_simnet::time::SimDuration;
@@ -182,6 +183,45 @@ pub fn extract_number(json: &str, key: &str) -> Option<f64> {
         .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
         .unwrap_or(rest.len());
     rest[..end].parse().ok()
+}
+
+/// Slices the top-level `{...}` objects of the array under `"key":` in
+/// one of the flat, hand-rendered JSON reports. A balanced-brace scan:
+/// the reports put no braces inside strings.
+///
+/// # Errors
+///
+/// When the array is missing or holds no object.
+pub fn array_objects<'a>(json: &'a str, key: &str) -> Result<Vec<&'a str>, String> {
+    let start = json
+        .find(&format!("\"{key}\":"))
+        .ok_or_else(|| format!("missing \"{key}\" array"))?;
+    let mut out = Vec::new();
+    let mut depth = 0usize;
+    let mut open = None;
+    for (i, c) in json[start..].char_indices() {
+        match c {
+            '{' => {
+                if depth == 0 {
+                    open = Some(start + i);
+                }
+                depth += 1;
+            }
+            '}' => {
+                depth = depth.saturating_sub(1);
+                if let (0, Some(s)) = (depth, open) {
+                    out.push(&json[s..=start + i]);
+                    open = None;
+                }
+            }
+            ']' if depth == 0 => break,
+            _ => {}
+        }
+    }
+    if out.is_empty() {
+        return Err(format!("\"{key}\" array is empty"));
+    }
+    Ok(out)
 }
 
 /// Lowercases `s` and replaces every non-alphanumeric run with a single

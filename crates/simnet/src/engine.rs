@@ -236,15 +236,14 @@ struct FlowState {
     started: SimTime,
     /// When `remaining` was last made exact.
     last_update: SimTime,
-    /// Bumped on every rate assignment; stale completion events carry an
-    /// older epoch and are discarded.
-    epoch: u64,
     tag: FlowTag,
 }
 
-#[derive(Debug, Clone)]
+/// Queue payloads. A `Completion` is filed under its flow's slot, so
+/// each live flow has at most one pending.
+#[derive(Debug, Clone, Copy)]
 enum Internal {
-    Completion { slot: u32, epoch: u64 },
+    Completion { slot: u32 },
     Timer { token: u64 },
     BackgroundArrival { profile: usize },
     FaultTransition { index: usize, start: bool },
@@ -513,7 +512,10 @@ struct ProbeScratch {
 /// by the observability layer as `simnet.*` metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Internal events processed (timers, completions, background arrivals).
+    /// Internal events processed (timers, completions, background
+    /// arrivals, fault edges). Every one is live: the queue keeps one
+    /// completion per flow and withdraws it when the flow stalls or ends,
+    /// so no superseded entry is ever popped.
     pub events_processed: u64,
     /// Timers delivered to the driver.
     pub timers_fired: u64,
@@ -543,7 +545,7 @@ pub struct EngineStats {
     /// incremental solve's component. Full solves fill per flow, so there
     /// every flow is its own entry.
     pub solver_classes_touched: u64,
-    /// Same-instant event cohorts handled as one batch (two or more
+    /// Same-instant event cohorts handled as one batch (two or more live
     /// internal events sharing a timestamp; see
     /// [`NetSim::set_event_batching`]).
     pub event_cohorts: u64,
@@ -591,7 +593,6 @@ pub struct NetSim {
     queue: EventQueue<Internal>,
     pending: VecDeque<SimEvent>,
     now: SimTime,
-    epoch: u64,
     next_flow: u64,
     pending_timers: usize,
     rng_root: SimRng,
@@ -678,7 +679,6 @@ impl NetSim {
             queue: EventQueue::new(),
             pending: VecDeque::new(),
             now: SimTime::ZERO,
-            epoch: 0,
             next_flow: 0,
             pending_timers: 0,
             rng_root: SimRng::seed_from_u64(seed),
@@ -1147,10 +1147,10 @@ impl NetSim {
     /// hook — intended to run between replay sweeps, when the grid is
     /// (near-)idle — trims trailing free slots from the slab, truncates the
     /// stamp arrays to the surviving slot count and releases the worklist
-    /// and solver buffers. Live flows are untouched: slot indices of
-    /// retained flows never change, so the per-link indexes and any
-    /// in-flight completions stay valid, and every buffer regrows on
-    /// demand.
+    /// and solver buffers, and trims the event queue's per-slot key index.
+    /// Live flows are untouched: slot indices of retained flows never
+    /// change, so the per-link indexes and any in-flight completions stay
+    /// valid, and every buffer regrows on demand.
     pub fn shrink_scratch(&mut self) {
         // Pop trailing empty slots; interior empties must stay (their
         // indices are burned into `free_slots` and `link_flows` ordering).
@@ -1165,6 +1165,7 @@ impl NetSim {
             per_link.shrink_to_fit();
         }
         self.classes.shrink();
+        self.queue.shrink_key_index();
         let links = self.link_caps.len();
         self.comp.shrink(slots, links);
         self.solver.shrink();
@@ -1334,7 +1335,6 @@ impl NetSim {
             rate_bps: f64::NAN,
             started: self.now,
             last_update: self.now,
-            epoch: 0,
             tag: spec.tag,
         };
         let slot = match self.free_slots.pop() {
@@ -1345,6 +1345,8 @@ impl NetSim {
             }
             None => {
                 self.flows.push(Some(state));
+                // The completion queue's key index grows with the slab.
+                self.queue.reserve_keys(self.flows.capacity());
                 u32::try_from(self.flows.len() - 1).expect("too many concurrent flows")
             }
         };
@@ -1694,16 +1696,15 @@ impl NetSim {
                     kind: EventKind::TimerFired(token),
                 });
             }
-            Internal::Completion { slot, epoch } => {
+            Internal::Completion { slot } => {
                 let slot = slot as usize;
-                let Some(f) = self.flows.get(slot).and_then(Option::as_ref) else {
-                    return; // flow already gone (aborted/dropped/slot freed)
-                };
-                if f.epoch != epoch {
-                    return; // stale: the flow's rate changed since this was scheduled
-                }
                 self.settle_flow(slot);
-                if self.flows[slot].as_ref().expect("checked live").remaining > 0.5 {
+                if self.flows[slot]
+                    .as_ref()
+                    .expect("queued flow is live")
+                    .remaining
+                    > 0.5
+                {
                     // Rounding left a sliver; reschedule precisely.
                     self.schedule_completion(slot);
                     return;
@@ -1845,6 +1846,7 @@ impl NetSim {
     /// Unlinks a flow from the slab, the id map and every per-link index.
     fn remove_flow(&mut self, slot: usize) -> FlowState {
         let f = self.flows[slot].take().expect("remove of dead slot");
+        self.queue.remove_key(slot);
         self.id_slots.remove(&f.id);
         self.classes.leave(f.src, f.dst, f.cap_bps);
         for &l in f.route.iter() {
@@ -1953,22 +1955,16 @@ impl NetSim {
             let old_rate = f.rate_bps;
             self.settle_flow(slot);
             let f = self.flows[slot].as_mut().expect("component flow is live");
+            f.rate_bps = new_rate;
             if old_rate > 0.0 && f.remaining <= 0.5 {
                 // Already due: a progressing flow whose bytes ran out still
-                // has its completion entry for this instant queued under
-                // the current epoch. Record the new rate (the certificate
-                // must see solved rates) but keep the epoch, so the entry
-                // pops in its original order — this keeps the public
-                // timeline identical between the batched-cohort and
-                // per-event paths.
-                f.rate_bps = new_rate;
+                // has its completion entry for this instant queued. Record
+                // the new rate (the certificate must see solved rates) but
+                // leave the entry, so it pops in its original order — this
+                // keeps the public timeline identical between the
+                // batched-cohort and per-event paths.
                 continue;
             }
-            self.epoch += 1;
-            let epoch = self.epoch;
-            let f = self.flows[slot].as_mut().expect("component flow is live");
-            f.rate_bps = new_rate;
-            f.epoch = epoch;
             self.schedule_completion(slot);
         }
         if self.validate {
@@ -2020,20 +2016,17 @@ impl NetSim {
                 &self.link_caps,
             );
         }
-        self.epoch += 1;
-        let epoch = self.epoch;
         for i in 0..n {
             let slot = self.comp.flows[i] as usize;
             let rate = self.solver.rate(i);
             let f = self.flows[slot].as_mut().expect("live flow");
-            if f.rate_bps > 0.0 && f.remaining <= 0.5 {
+            let due = f.rate_bps > 0.0 && f.remaining <= 0.5;
+            f.rate_bps = rate;
+            if due {
                 // Already due (see `solve_component`): keep the queued
                 // completion entry so pop order matches the batched path.
-                f.rate_bps = rate;
                 continue;
             }
-            f.rate_bps = rate;
-            f.epoch = epoch;
             self.schedule_completion(slot);
         }
         if self.validate {
@@ -2042,6 +2035,8 @@ impl NetSim {
         }
     }
 
+    /// Files the flow's completion under its slot, replacing the entry
+    /// its previous rate scheduled; a stalled flow has none.
     fn schedule_completion(&mut self, slot: usize) {
         let f = self.flows[slot].as_ref().expect("schedule of dead slot");
         let when = if f.remaining <= 0.5 {
@@ -2052,14 +2047,15 @@ impl NetSim {
         } else if f.rate_bps > 0.0 {
             self.now + SimDuration::from_secs_f64(f.remaining / (f.rate_bps / 8.0))
         } else {
-            return; // stalled; a future reallocation will reschedule
+            // Stalled; a future reallocation will reschedule.
+            self.queue.remove_key(slot);
+            return;
         };
-        let epoch = f.epoch;
-        self.queue.push(
+        self.queue.push_keyed(
+            slot,
             when,
             Internal::Completion {
                 slot: slot_u32(slot),
-                epoch,
             },
         );
     }
@@ -2892,6 +2888,119 @@ mod fault_tests {
             b,
         ));
     }
+
+    /// Every pending queue entry is accounted for: one completion per
+    /// live flow that is progressing (or already due), none for a stalled
+    /// or dead slot, plus the pending timers, one arrival per background
+    /// profile and each fault edge still ahead. Holds between public
+    /// calls with batching on, where a cohort drains every preinstalled
+    /// fault edge of its instant.
+    fn assert_queue_exact(sim: &NetSim) {
+        let mut completions = 0;
+        for (slot, f) in sim.flows.iter().enumerate() {
+            let Some(f) = f else {
+                assert!(!sim.queue.contains_key(slot), "dead slot {slot} queued");
+                continue;
+            };
+            let due = f.rate_bps > 0.0 || f.remaining <= 0.5;
+            assert_eq!(
+                sim.queue.contains_key(slot),
+                due,
+                "slot {slot}: rate {} remaining {}",
+                f.rate_bps,
+                f.remaining
+            );
+            completions += usize::from(due);
+        }
+        let fault_edges: usize = sim
+            .faults
+            .iter()
+            .map(|r| {
+                usize::from(r.fault.at > sim.now)
+                    + usize::from(!r.fault.kind.is_instant() && r.fault.ends() > sim.now)
+            })
+            .sum();
+        assert_eq!(
+            sim.queue.len(),
+            completions + sim.pending_timers + sim.background.len() + fault_edges,
+            "queue holds an entry no live event accounts for at {}",
+            sim.now
+        );
+    }
+
+    #[test]
+    fn queue_holds_no_stale_completion_under_churn() {
+        let (t, a, b, c) = line();
+        let mut sim = NetSim::new(t, 3);
+        let first = sim.routing().path(a, c).unwrap().links()[0];
+        sim.add_background(BackgroundProfile::new(b, c, 5.0, 500_000.0));
+        sim.install_fault_plan(
+            FaultPlan::new()
+                .link_down(
+                    SimTime::from_secs_f64(0.4),
+                    SimDuration::from_secs_f64(0.6),
+                    first,
+                )
+                .connection_drop(SimTime::from_secs_f64(1.5), c),
+        );
+        let mut live: Vec<FlowId> = Vec::new();
+        for i in 0..6u64 {
+            live.push(sim.start_flow(FlowSpec::new(a, c, 2_000_000 + i * 1_000_000)));
+        }
+        for i in 0..3u64 {
+            live.push(sim.start_flow(FlowSpec::new(a, b, 1_000_000 + i * 700_000)));
+        }
+        live.push(sim.start_flow(FlowSpec::new(b, c, 3_000_000).with_cap(mbps(20.0))));
+        for k in 1..=30u32 {
+            sim.schedule_timer(SimTime::from_secs_f64(0.1 * f64::from(k)), u64::from(k));
+        }
+        assert_queue_exact(&sim);
+
+        let mut stalled = false;
+        while let Some(ev) = sim.next_event() {
+            assert_queue_exact(&sim);
+            stalled |= sim.flows.iter().flatten().any(|f| f.rate_bps == 0.0);
+            match ev.kind {
+                EventKind::FlowCompleted(done) => live.retain(|&id| id != done.id),
+                EventKind::TimerFired(k) => {
+                    live.retain(|&id| sim.flow_rate(id).is_some());
+                    match k % 3 {
+                        0 => {
+                            let (src, dst) = if k % 2 == 0 { (a, c) } else { (b, c) };
+                            live.push(sim.start_flow(FlowSpec::new(
+                                src,
+                                dst,
+                                1_500_000 + k * 10_000,
+                            )));
+                        }
+                        1 if !live.is_empty() => {
+                            assert!(sim.abort_flow(live.remove(0)).is_some());
+                        }
+                        2 if !live.is_empty() => {
+                            let id = live[live.len() / 2];
+                            let cap = if k % 2 == 0 { 10.0 } else { 40.0 };
+                            assert!(sim.set_flow_cap(id, mbps(cap)));
+                        }
+                        _ => {}
+                    }
+                    assert_queue_exact(&sim);
+                }
+                EventKind::FaultChanged(_) => {}
+            }
+        }
+        assert!(stalled, "the link-down window must stall a flow to rate 0");
+        assert!(
+            sim.stats().flows_dropped > 0,
+            "the connection drop must reset flows"
+        );
+        assert!(
+            sim.stats().flows_started + sim.stats().background_flows_started
+                > sim.flows.len() as u64,
+            "freed slots must be reused"
+        );
+        assert_eq!(sim.public_flow_count(), 0);
+        assert_queue_exact(&sim);
+    }
 }
 
 #[cfg(test)]
@@ -2956,9 +3065,9 @@ mod batch_tests {
         // cohort whose end-of-batch component is already empty.
         assert_eq!(plain.incremental_solves, 15);
         assert_eq!(batched.incremental_solves, 8);
-        // Superseded completion generations share timestamps too, so more
-        // than one cohort is entered; only one defers real work.
-        assert!(batched.event_cohorts >= 1);
+        // The queue holds one completion per flow, so the eight
+        // completions are the only same-instant cohort.
+        assert_eq!(batched.event_cohorts, 1);
         assert_eq!(batched.batched_solves, 1);
         assert_eq!(batched.solves_avoided, 7);
         assert_eq!(plain.solves_avoided, 0);
@@ -2969,9 +3078,9 @@ mod batch_tests {
     /// The non-solver counters must be identical either way: batching
     /// defers solves, never events or flow mutations.
     fn sim_stats_quiescent(batched: &EngineStats, plain: &EngineStats) {
-        // `events_processed` may legitimately differ: deferred solves bump
-        // fewer epochs, so fewer superseded completion entries get popped
-        // and discarded.
+        // The queue holds exactly the live events either way, so both
+        // paths pop the same entries.
+        assert_eq!(batched.events_processed, plain.events_processed);
         assert_eq!(batched.flows_started, plain.flows_started);
         assert_eq!(batched.flows_completed, plain.flows_completed);
         assert_eq!(batched.bytes_completed, plain.bytes_completed);

@@ -179,3 +179,61 @@ fn warmed_churn_through_live_flow_classes_allocates_nothing() {
         after - before
     );
 }
+
+#[test]
+fn warmed_drain_with_repeated_rate_changes_allocates_nothing() {
+    // Timer pairs squeeze one flow to 0.5 Mbps and release it, which moves
+    // the rates of the whole shared component: each moved flow's queued
+    // completion is replaced in place (a keyed re-sift in the event
+    // queue), many times per flow, on top of the reschedules every
+    // completion triggers.
+    let (topo, a, b, c) = star();
+    let mut sim = NetSim::new(topo, 7);
+    sim.set_validation(false);
+    sim.set_auto_shrink(false);
+
+    const FLOWS: usize = 48;
+    const FLIPS: u64 = 200;
+    let mut ids: Vec<FlowId> = Vec::with_capacity(FLOWS);
+    let mut cycle = |sim: &mut NetSim, measure: bool| -> (u64, u64) {
+        ids.clear();
+        for i in 0..FLOWS {
+            let (src, dst) = if i % 2 == 0 { (a, b) } else { (a, c) };
+            ids.push(sim.start_flow(FlowSpec::new(src, dst, 3_000_000 + (i as u64) * 41_000)));
+        }
+        for k in 0..FLIPS {
+            sim.schedule_timer_after(SimDuration::from_millis(40 * (k + 1)), k);
+        }
+        let before = allocs();
+        let mut rate_changes = 0;
+        while let Some(ev) = sim.next_event() {
+            if let EventKind::TimerFired(k) = ev.kind {
+                let id = ids[(k / 2) as usize % FLOWS];
+                let cap = if k % 2 == 0 { 0.5 } else { 60.0 };
+                let old = sim.flow_rate(id);
+                if sim.set_flow_cap(id, Bandwidth::from_mbps(cap)) && sim.flow_rate(id) != old {
+                    rate_changes += 1;
+                }
+            }
+        }
+        assert_eq!(sim.active_flow_count(), 0);
+        (if measure { allocs() - before } else { 0 }, rate_changes)
+    };
+    cycle(&mut sim, false);
+    cycle(&mut sim, false);
+
+    let solves = sim.stats().incremental_solves;
+    let (drain_allocs, rate_changes) = cycle(&mut sim, true);
+    assert!(
+        rate_changes > 50,
+        "cap flips must keep moving rates ({rate_changes} changes)"
+    );
+    assert!(
+        sim.stats().incremental_solves - solves > FLOWS as u64 + rate_changes,
+        "every flip and completion re-solves the shared component"
+    );
+    assert_eq!(
+        drain_allocs, 0,
+        "warmed drain with repeated rate changes must not allocate (saw {drain_allocs})"
+    );
+}

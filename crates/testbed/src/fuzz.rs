@@ -336,11 +336,9 @@ pub struct Pair {
 
 /// Solver work counters cohort batching is allowed to move (the whole
 /// point of batching is fewer solves; everything public must still
-/// match). `events_processed` is in the list because draining a cohort
-/// in one sweep pops a different number of queue entries than draining
-/// its members one by one.
+/// match). `events_processed` is not among them: the queue holds one
+/// entry per live event, so both paths pop exactly the same entries.
 const BATCHING_COUNTERS: &[&str] = &[
-    "simnet.events_processed",
     "simnet.incremental_solves",
     "simnet.full_solves",
     "simnet.solver_flows_touched",

@@ -15,5 +15,6 @@ cd "$(dirname "$0")/.."
 OUT="${1:-BENCH_simnet.json}"
 
 cargo build --release -p datagrid-bench --bin scale
-./target/release/scale --out "${OUT}"
-./target/release/scale --check "${OUT}"
+BIN="${CARGO_TARGET_DIR:-target}/release/scale"
+"${BIN}" --out "${OUT}"
+"${BIN}" --check "${OUT}"

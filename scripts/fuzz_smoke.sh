@@ -27,9 +27,10 @@ COUNT="${1:-200}"
 SEED="${DATAGRID_FUZZ_SEED:-20050905}"
 
 cargo build --release -p datagrid-bench --bin fuzz
+BIN="${CARGO_TARGET_DIR:-target}/release/fuzz"
 
-./target/release/fuzz --count "${COUNT}" --seed "${SEED}" --deny-divergence
+"${BIN}" --count "${COUNT}" --seed "${SEED}" --deny-divergence
 
-./target/release/fuzz --count 25 --seed "${SEED}" --break-oracle
+"${BIN}" --count 25 --seed "${SEED}" --break-oracle
 
 cargo test --release -p datagrid-testbed --test fuzz_determinism

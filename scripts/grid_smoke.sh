@@ -37,9 +37,10 @@ mkdir -p target
 cp "${REF}" target/BENCH_grid.ref.json
 
 cargo build --release -p datagrid-bench --bin grid_scale
-./target/release/grid_scale --out "${OUT}"
-./target/release/grid_scale --check "${OUT}"
-./target/release/grid_scale --check-budget ci/grid_budget.json "${OUT}"
+BIN="${CARGO_TARGET_DIR:-target}/release/grid_scale"
+"${BIN}" --out "${OUT}"
+"${BIN}" --check "${OUT}"
+"${BIN}" --check-budget ci/grid_budget.json "${OUT}"
 
 python3 - "${OUT}" target/BENCH_grid.ref.json <<'PY'
 import json
