@@ -110,28 +110,10 @@ pub fn emit_engine_observability(sim: &datagrid_simnet::engine::NetSim, label: &
     if dir.is_empty() {
         return;
     }
-    let s = sim.stats();
     let mut m = datagrid_obs::MetricsRegistry::new();
-    m.set_counter("simnet.events_processed", s.events_processed);
-    m.set_counter("simnet.timers_fired", s.timers_fired);
-    m.set_counter("simnet.flows_started", s.flows_started);
-    m.set_counter("simnet.flows_completed", s.flows_completed);
-    m.set_counter(
-        "simnet.background_flows_started",
-        s.background_flows_started,
-    );
-    m.set_counter("simnet.bytes_completed", s.bytes_completed);
-    m.set_counter("simnet.fault_transitions", s.fault_transitions);
-    m.set_counter("simnet.flows_dropped", s.flows_dropped);
-    m.set_counter("simnet.incremental_solves", s.incremental_solves);
-    m.set_counter("simnet.full_solves", s.full_solves);
-    m.set_counter("simnet.solver_flows_touched", s.solver_flows_touched);
-    m.set_counter("simnet.auto_shrinks", s.auto_shrinks);
-    m.set_counter("simnet.transitions_certified", s.transitions_certified);
-    m.set_counter(
-        "simnet.transition_flows_checked",
-        s.transition_flows_checked,
-    );
+    for (name, value) in sim.stats().counters() {
+        m.set_counter(name, value);
+    }
     let dir = std::path::Path::new(&dir);
     let write_all = || -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;

@@ -27,8 +27,9 @@ use datagrid_catalog::name::{LogicalFileName, PhysicalFileName};
 use datagrid_gridftp::executor::{ProtocolCosts, SessionStatus, TransferEndpoint, TransferSession};
 use datagrid_gridftp::instrument::{protocol_label, span_from_outcome};
 use datagrid_gridftp::transfer::{
-    DataChannelProtection, PhaseRecord, Protocol, TransferOutcome, TransferRequest,
+    DataChannelProtection, Protocol, TransferOutcome, TransferRequest,
 };
+use datagrid_gridftp::TransferError;
 use datagrid_obs::{
     CandidateAudit, Event, MetricsRegistry, PhaseProfiler, Recorder, SelectionAuditLog,
     SelectionDecision, TimelineRecorder,
@@ -183,24 +184,6 @@ impl FetchReport {
     /// The candidate that was fetched.
     pub fn chosen_candidate(&self) -> &CandidateScore {
         &self.candidates[self.chosen]
-    }
-}
-
-/// A local disk read of `bytes` between `start` and `end`, synthesised as
-/// a one-phase transfer outcome.
-fn local_outcome(bytes: u64, start: SimTime, end: SimTime) -> TransferOutcome {
-    TransferOutcome {
-        payload_bytes: bytes,
-        wire_bytes: 0,
-        streams: 0,
-        stripes: 0,
-        started: start,
-        finished: end,
-        phases: vec![PhaseRecord {
-            name: "data",
-            start,
-            end,
-        }],
     }
 }
 
@@ -511,7 +494,6 @@ impl GridBuilder {
                 rec
             },
             next_span_id: 0,
-            pending_lfn: None,
             recovery_rng: root.fork("recovery"),
             selection_mode: self.selection_mode,
             timeline: None,
@@ -659,8 +641,6 @@ pub struct DataGrid {
     trace: NetworkTrace,
     obs: Recorder,
     next_span_id: u64,
-    /// Logical file served by the transfer in flight, for span labelling.
-    pending_lfn: Option<String>,
     /// Jitter source for retry backoff, forked from the grid seed.
     recovery_rng: SimRng,
     /// How `BW_P` is obtained during candidate scoring.
@@ -904,30 +884,9 @@ impl DataGrid {
     /// identically seeded runs export byte-identical snapshots.
     pub fn metrics_snapshot(&self) -> MetricsRegistry {
         let mut m = self.obs.metrics_snapshot();
-        let s = self.sim.stats();
-        m.set_counter("simnet.events_processed", s.events_processed);
-        m.set_counter("simnet.timers_fired", s.timers_fired);
-        m.set_counter("simnet.flows_started", s.flows_started);
-        m.set_counter("simnet.flows_completed", s.flows_completed);
-        m.set_counter(
-            "simnet.background_flows_started",
-            s.background_flows_started,
-        );
-        m.set_counter("simnet.bytes_completed", s.bytes_completed);
-        m.set_counter("simnet.fault_transitions", s.fault_transitions);
-        m.set_counter("simnet.flows_dropped", s.flows_dropped);
-        m.set_counter("simnet.incremental_solves", s.incremental_solves);
-        m.set_counter("simnet.full_solves", s.full_solves);
-        m.set_counter("simnet.solver_flows_touched", s.solver_flows_touched);
-        m.set_counter("simnet.auto_shrinks", s.auto_shrinks);
-        m.set_counter("simnet.event_cohorts", s.event_cohorts);
-        m.set_counter("simnet.batched_solves", s.batched_solves);
-        m.set_counter("simnet.solves_avoided", s.solves_avoided);
-        m.set_counter("simnet.transitions_certified", s.transitions_certified);
-        m.set_counter(
-            "simnet.transition_flows_checked",
-            s.transition_flows_checked,
-        );
+        for (name, value) in self.sim.stats().counters() {
+            m.set_counter(name, value);
+        }
         let (hits, misses) = self.score_scratch_stats();
         m.set_counter("selection.scratch_hits", hits);
         m.set_counter("selection.scratch_misses", misses);
@@ -1052,7 +1011,9 @@ impl DataGrid {
     ///
     /// # Errors
     ///
-    /// [`GridError::Transfer`] for invalid requests.
+    /// [`GridError::Transfer`] for invalid requests, or with
+    /// [`TransferError::ConnectionDropped`] when a connection drop resets
+    /// the transfer's data flows.
     pub fn transfer_between(
         &mut self,
         src: HostId,
@@ -1068,8 +1029,8 @@ impl DataGrid {
     ///
     /// # Errors
     ///
-    /// [`GridError::Transfer`] for invalid requests or an empty source
-    /// list.
+    /// [`GridError::Transfer`] for invalid requests, an empty source
+    /// list or a dropped connection (as [`DataGrid::transfer_between`]).
     pub fn striped_transfer_between(
         &mut self,
         sources: &[HostId],
@@ -1079,7 +1040,7 @@ impl DataGrid {
         let endpoints: Vec<TransferEndpoint> =
             sources.iter().map(|&s| self.endpoint_for(s)).collect();
         let first = sources.first().ok_or_else(|| {
-            GridError::Transfer(datagrid_gridftp::TransferError::InvalidRequest {
+            GridError::Transfer(TransferError::InvalidRequest {
                 reason: "a transfer needs at least one source".into(),
             })
         })?;
@@ -1090,19 +1051,24 @@ impl DataGrid {
         let session = TransferSession::striped(req, endpoints, self.endpoint_for(dst), tcp, base)?
             .with_costs(self.costs)
             .with_cached_control(cached);
-        let outcome = self.drive_session(session, sources, dst);
+        let outcome = self.drive_session(session, sources, dst)?;
         self.remember_control(cache_key);
         Ok(outcome)
     }
 
     /// Runs a watchdog-free `session` from `sources` to `dst` to
     /// completion while monitoring continues, then records it.
+    ///
+    /// With no watchdog, a session whose data flows a connection drop
+    /// removed would wait forever for their completions; instead, an
+    /// instant fault that took any of them aborts the session with
+    /// [`TransferError::ConnectionDropped`].
     fn drive_session(
         &mut self,
         mut session: TransferSession,
         sources: &[HostId],
         dst: HostId,
-    ) -> TransferOutcome {
+    ) -> Result<TransferOutcome, GridError> {
         session.start(&mut self.sim);
         let outcome = loop {
             let ev = self
@@ -1116,6 +1082,18 @@ impl DataGrid {
             } else {
                 let monitor_tick = matches!(ev.kind, EventKind::TimerFired(TOK_MONITOR));
                 self.handle_internal(&ev);
+                if let EventKind::FaultChanged(notice) = &ev.kind {
+                    if notice.kind.is_instant()
+                        && session
+                            .active_flow_ids()
+                            .any(|id| self.sim.flow_rate(id).is_none())
+                    {
+                        let delivered_payload = session.abort(&mut self.sim);
+                        return Err(GridError::Transfer(TransferError::ConnectionDropped {
+                            delivered_payload,
+                        }));
+                    }
+                }
                 if monitor_tick {
                     // Host loads just advanced: propagate the fresh disk and
                     // CPU limits into the running transfer, so a transfer
@@ -1131,8 +1109,8 @@ impl DataGrid {
         let src_name = self.hosts[sources[0].index()].name().to_string();
         let dst_name = self.hosts[dst.index()].name().to_string();
         let protocol = protocol_label(session.request().protocol);
-        self.record_transfer(&src_name, &dst_name, protocol, &outcome);
-        outcome
+        self.record_transfer(&src_name, &dst_name, protocol, &outcome, None);
+        Ok(outcome)
     }
 
     /// `true` if an authenticated control connection for `key` is cached
@@ -1162,7 +1140,8 @@ impl DataGrid {
     ///
     /// # Errors
     ///
-    /// [`GridError::Transfer`] for invalid requests.
+    /// [`GridError::Transfer`] for invalid requests or a dropped
+    /// connection (as [`DataGrid::transfer_between`]).
     pub fn third_party_transfer(
         &mut self,
         client: HostId,
@@ -1181,7 +1160,7 @@ impl DataGrid {
         )?
         .with_costs(self.costs)
         .with_control_from(self.node_of(client));
-        Ok(self.drive_session(session, &[src], dst))
+        self.drive_session(session, &[src], dst)
     }
 
     /// Creates a new physical replica of `lfn` on `dst_host` by copying
@@ -1338,115 +1317,6 @@ impl DataGrid {
         }
         rank_by_score(out);
         Ok(used_residual)
-    }
-
-    /// The paper's full Fig. 1 scenario with default transfer options.
-    ///
-    /// # Errors
-    ///
-    /// See [`DataGrid::fetch_with`].
-    pub fn fetch(&mut self, client: HostId, lfn: &str) -> Result<FetchReport, GridError> {
-        self.fetch_with(client, lfn, FetchOptions::default())
-    }
-
-    /// The paper's full Fig. 1 scenario: catalog query, factor gathering,
-    /// policy choice, GridFTP transfer. Time advances through every step;
-    /// monitoring keeps running.
-    ///
-    /// # Errors
-    ///
-    /// Catalog errors, [`GridError::NoReplicas`],
-    /// [`GridError::ReplicaOffGrid`] or transfer errors.
-    pub fn fetch_with(
-        &mut self,
-        client: HostId,
-        lfn: &str,
-        options: FetchOptions,
-    ) -> Result<FetchReport, GridError> {
-        self.fetch_choosing(client, lfn, None, options)
-    }
-
-    /// Like [`DataGrid::fetch_with`] but forcing the replica on
-    /// `from_host` — the counterfactual probe used for oracle evaluation
-    /// and for regenerating the paper's Table 1 (which measures the
-    /// transfer time of *every* candidate).
-    ///
-    /// # Errors
-    ///
-    /// As [`DataGrid::fetch_with`], plus [`GridError::UnknownHost`] if the
-    /// forced host holds no replica.
-    pub fn fetch_from(
-        &mut self,
-        client: HostId,
-        lfn: &str,
-        from_host: &str,
-        options: FetchOptions,
-    ) -> Result<FetchReport, GridError> {
-        self.fetch_choosing(client, lfn, Some(from_host), options)
-    }
-
-    /// The body of [`DataGrid::fetch_with`] and [`DataGrid::fetch_from`]:
-    /// the selector picks the replica, unless `forced` names its host.
-    fn fetch_choosing(
-        &mut self,
-        client: HostId,
-        lfn: &str,
-        forced: Option<&str>,
-        options: FetchOptions,
-    ) -> Result<FetchReport, GridError> {
-        let started = self.sim.now();
-        // Catalog + selection server round trips.
-        let latency = self.service_latency(client);
-        self.advance_to(started + latency);
-        let candidates = self.score_candidates(client, lfn)?;
-        let chosen = match forced {
-            None => self.selector.choose(&candidates),
-            Some(host) => candidates
-                .iter()
-                .position(|c| c.host_name == host)
-                .ok_or_else(|| GridError::UnknownHost {
-                    name: host.to_string(),
-                })?,
-        };
-        let decision_latency = self.sim.now() - started;
-        self.record_selection(
-            lfn,
-            client,
-            &candidates,
-            chosen,
-            decision_latency,
-            forced.map(|_| "forced"),
-        );
-        let choice = &candidates[chosen];
-        let name = LogicalFileName::new(lfn)?;
-        let bytes = self
-            .catalog
-            .lookup(&name)
-            .expect("scored candidates imply a registered file")
-            .entry()
-            .size_bytes();
-        self.pending_lfn = Some(lfn.to_string());
-        let transfer = if choice.is_local {
-            let start = self.sim.now();
-            let rate = self.hosts[client.index()].available_disk_read();
-            self.advance_to(start + rate.time_for_bytes(bytes));
-            let outcome = local_outcome(bytes, start, self.sim.now());
-            let name = self.hosts[client.index()].name().to_string();
-            self.record_transfer(&name, &name, "local", &outcome);
-            outcome
-        } else {
-            self.transfer_between(choice.host, client, options.request(bytes))?
-        };
-        self.attach_measured(&candidates[chosen].host_name, &transfer);
-        Ok(FetchReport {
-            lfn: name,
-            client: self.hosts[client.index()].name().to_string(),
-            local_hit: candidates[chosen].is_local,
-            candidates,
-            chosen,
-            transfer,
-            decision_latency,
-        })
     }
 
     /// Suggests a parallel stream count for transfers from `src` to `dst`:
@@ -1652,33 +1522,11 @@ impl DataGrid {
         });
     }
 
-    /// Attaches the measured transfer time of `host` to the most recent
-    /// audit entry, feeding the rank-vs-measured-time agreement check.
-    fn attach_measured(&mut self, host: &str, outcome: &TransferOutcome) {
-        let secs = outcome.duration().as_secs_f64();
-        if let Some(decision) = self.obs.audit_mut().last_mut() {
-            decision.attach_measured(host, secs);
-        }
-    }
-
     /// Records one finished transfer: span events, latency/byte/stream
     /// metrics and per-phase timing histograms. `protocol` is a stable
-    /// label (`"gridftp"`, `"ftp"`, `"local"`).
-    fn record_transfer(
-        &mut self,
-        src: &str,
-        dst: &str,
-        protocol: &'static str,
-        outcome: &TransferOutcome,
-    ) {
-        let lfn = self.pending_lfn.take();
-        self.record_transfer_for(src, dst, protocol, outcome, lfn.as_deref());
-    }
-
-    /// [`DataGrid::record_transfer`] with the logical file passed
-    /// explicitly, so hot callers (the replay driver) can borrow it from
-    /// their own state instead of cloning into `pending_lfn`.
-    pub(crate) fn record_transfer_for(
+    /// label (`"gridftp"`, `"ftp"`, `"local"`); `lfn` labels the span
+    /// when the transfer serves a fetch.
+    pub(crate) fn record_transfer(
         &mut self,
         src: &str,
         dst: &str,

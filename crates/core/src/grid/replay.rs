@@ -1,5 +1,5 @@
-//! The fetch state machine: concurrent multi-client replay, and the
-//! blocking recovering fetch as a replay of one job.
+//! The fetch state machine: concurrent multi-client replay, and every
+//! blocking fetch as a replay of one job.
 //!
 //! [`DataGrid::replay_concurrent`] replays a whole workload — N clients
 //! with seeded arrival times — against **one shared simulator**. Each job
@@ -12,10 +12,14 @@
 //! `selection.failover` events — is recorded here, interleaved in
 //! simulated-time order.
 //!
-//! [`DataGrid::fetch_with_recovery`] is the paper's Table 1 setting: the
-//! caller's event loop owns the simulator until its one fetch resolves.
-//! It runs the same driver with a single job, so a blocking fetch and a
-//! replayed one share every line of recovery code.
+//! The blocking fetches — [`DataGrid::fetch`], [`DataGrid::fetch_with`],
+//! [`DataGrid::fetch_from`] and [`DataGrid::fetch_with_recovery`] — are
+//! the paper's Table 1 setting: the caller's event loop owns the simulator
+//! until its one fetch resolves. All four run the same driver with a
+//! single job, so a blocking fetch and a replayed one share every line of
+//! selection, transfer and recovery code. The plain ones recover with
+//! [`RecoveryOptions::default`]; `fetch_from` forces the host of the
+//! first decision only, and a failover after it is an ordinary one.
 //!
 //! The machine's branch points — what a decision yielded, whether an
 //! attempt completed or stalled, whether the replica's retries are
@@ -36,16 +40,34 @@ use std::hash::{BuildHasherDefault, DefaultHasher};
 use datagrid_catalog::name::LogicalFileName;
 use datagrid_gridftp::executor::{SessionStatus, TransferSession};
 use datagrid_gridftp::instrument::protocol_label;
-use datagrid_gridftp::transfer::TransferOutcome;
+use datagrid_gridftp::transfer::{PhaseRecord, TransferOutcome};
 use datagrid_obs::{Event, PhaseProfiler};
 use datagrid_simnet::engine::{EventKind, FlowId};
 use datagrid_simnet::time::{SimDuration, SimTime};
 use datagrid_sysmon::host::HostId;
 
-use super::{local_outcome, DataGrid, FetchOptions, FetchReport, SESSION_TOKEN_BASE, TOK_MONITOR};
+use super::{DataGrid, FetchOptions, FetchReport, SESSION_TOKEN_BASE, TOK_MONITOR};
 use crate::error::GridError;
 use crate::factors::CandidateScore;
 use crate::recovery::{RecoveredFetch, RecoveryOptions};
+
+/// A local disk read of `bytes` between `start` and `end`, synthesised as
+/// a one-phase transfer outcome.
+fn local_outcome(bytes: u64, start: SimTime, end: SimTime) -> TransferOutcome {
+    TransferOutcome {
+        payload_bytes: bytes,
+        wire_bytes: 0,
+        streams: 0,
+        stripes: 0,
+        started: start,
+        finished: end,
+        phases: vec![PhaseRecord {
+            name: "data",
+            start,
+            end,
+        }],
+    }
+}
 
 /// One scheduled fetch in a replay workload.
 #[derive(Debug, Clone, PartialEq)]
@@ -395,6 +417,9 @@ struct Driver<'a> {
     grid: &'a mut DataGrid,
     options: FetchOptions,
     recovery: &'a RecoveryOptions,
+    /// Host whose replica the first decision must pick
+    /// ([`DataGrid::fetch_from`]); failover decisions ignore it.
+    forced: Option<&'a str>,
     states: Vec<JobState>,
     /// Control-timer token -> job index (arrival, decision, backoff and
     /// local-read timers; removed when fired).
@@ -520,8 +545,81 @@ impl DataGrid {
         options: FetchOptions,
         recovery: &RecoveryOptions,
     ) -> Result<RecoveredFetch, GridError> {
+        self.fetch_one(client, lfn, None, options, recovery)
+    }
+
+    /// The paper's full Fig. 1 scenario with default transfer options.
+    ///
+    /// # Errors
+    ///
+    /// See [`DataGrid::fetch_with`].
+    pub fn fetch(&mut self, client: HostId, lfn: &str) -> Result<FetchReport, GridError> {
+        self.fetch_with(client, lfn, FetchOptions::default())
+    }
+
+    /// The paper's full Fig. 1 scenario: catalog query, factor gathering,
+    /// policy choice, GridFTP transfer. Time advances through every step;
+    /// monitoring keeps running.
+    ///
+    /// This is [`DataGrid::fetch_with_recovery`] with
+    /// [`RecoveryOptions::default`], keeping only the report: a stalled
+    /// transfer is retried and a dead replica failed over like in any
+    /// replayed fetch.
+    ///
+    /// # Errors
+    ///
+    /// Catalog errors, [`GridError::NoReplicas`],
+    /// [`GridError::ReplicaOffGrid`], transfer errors, or
+    /// [`GridError::AllReplicasFailed`] when every candidate the default
+    /// recovery allows was tried and abandoned.
+    pub fn fetch_with(
+        &mut self,
+        client: HostId,
+        lfn: &str,
+        options: FetchOptions,
+    ) -> Result<FetchReport, GridError> {
+        self.fetch_one(client, lfn, None, options, &RecoveryOptions::default())
+            .map(|fetched| fetched.report)
+    }
+
+    /// Like [`DataGrid::fetch_with`] but forcing the replica on
+    /// `from_host` — the counterfactual probe used for oracle evaluation
+    /// and for regenerating the paper's Table 1 (which measures the
+    /// transfer time of *every* candidate). The first decision is audited
+    /// with `policy = "forced"`. Only that decision is forced: if the
+    /// host's retries run out, the fetch fails over to the best other
+    /// candidate like any other.
+    ///
+    /// # Errors
+    ///
+    /// As [`DataGrid::fetch_with`], plus [`GridError::UnknownHost`] if the
+    /// forced host holds no replica.
+    pub fn fetch_from(
+        &mut self,
+        client: HostId,
+        lfn: &str,
+        from_host: &str,
+        options: FetchOptions,
+    ) -> Result<FetchReport, GridError> {
+        let forced = Some(from_host);
+        self.fetch_one(client, lfn, forced, options, &RecoveryOptions::default())
+            .map(|fetched| fetched.report)
+    }
+
+    /// The one blocking-fetch entry point: a replay of one job that
+    /// arrives now, whose first decision picks `forced`'s replica when
+    /// set.
+    fn fetch_one(
+        &mut self,
+        client: HostId,
+        lfn: &str,
+        forced: Option<&str>,
+        options: FetchOptions,
+        recovery: &RecoveryOptions,
+    ) -> Result<RecoveredFetch, GridError> {
         let now = self.sim.now();
         let mut driver = Driver::new(self, options, recovery, 1);
+        driver.forced = forced;
         let idx = driver.admit(client, lfn, now);
         // The job arrives now: take its arrival transition directly. A
         // timer at `now` would fire only after the events already queued
@@ -581,6 +679,7 @@ impl<'a> Driver<'a> {
             grid,
             options,
             recovery,
+            forced: None,
             states: Vec::with_capacity(jobs),
             timers: RouteMap::default(),
             session_blocks: RouteMap::default(),
@@ -775,7 +874,7 @@ impl<'a> Driver<'a> {
                 let st = &mut self.states[idx];
                 st.attempts += 1;
                 let outcome = local_outcome(st.total_bytes, started, self.grid.sim.now());
-                self.grid.record_transfer_for(
+                self.grid.record_transfer(
                     &st.client_name,
                     &st.client_name,
                     "local",
@@ -836,7 +935,8 @@ impl<'a> Driver<'a> {
 
     /// Scores candidates, records the decision and hands what it yielded
     /// to [`step`]. Re-entered after an abandon with the failed hosts
-    /// excluded (the `"failover"` policy label).
+    /// excluded (the `"failover"` policy label). A first decision with a
+    /// forced host takes that host's replica (the `"forced"` label).
     fn decide(&mut self, idx: usize, state: FetchState) -> Result<(), GridError> {
         let guard = self.prof.span("decide");
         let client = self.states[idx].client;
@@ -847,12 +947,21 @@ impl<'a> Driver<'a> {
             .score_candidates_into(client, &self.states[idx].lfn, &mut self.cand_buf)?;
         self.prof.add_items(self.cand_buf.len() as u64);
         let failover = state.failed > 0;
-        let chosen = if failover {
-            self.cand_buf
+        let (chosen, policy_override) = if failover {
+            let open = self
+                .cand_buf
                 .iter()
-                .position(|c| !self.states[idx].failed_over.contains(&c.host_name))
+                .position(|c| !self.states[idx].failed_over.contains(&c.host_name));
+            (open, Some("failover"))
+        } else if let Some(host) = self.forced {
+            let Some(at) = self.cand_buf.iter().position(|c| c.host_name == host) else {
+                return Err(GridError::UnknownHost {
+                    name: host.to_string(),
+                });
+            };
+            (Some(at), Some("forced"))
         } else {
-            Some(self.grid.selector.choose(&self.cand_buf))
+            (Some(self.grid.selector.choose(&self.cand_buf)), None)
         };
         let Some(chosen) = chosen else {
             drop(guard);
@@ -866,7 +975,7 @@ impl<'a> Driver<'a> {
             &self.cand_buf,
             chosen,
             decision_latency,
-            failover.then_some("failover"),
+            policy_override,
         );
         let choice = self.cand_buf.swap_remove(chosen);
         self.last_chosen = chosen;
@@ -981,7 +1090,7 @@ impl<'a> Driver<'a> {
                 let choice = st.choice.as_ref().expect("transferring jobs have a choice");
                 let cache_key = (self.grid.node_of(st.client), self.grid.node_of(choice.host));
                 self.grid.remember_control(cache_key);
-                self.grid.record_transfer_for(
+                self.grid.record_transfer(
                     &choice.host_name,
                     &st.client_name,
                     protocol_label(self.options.protocol),

@@ -28,6 +28,12 @@ pub enum TransferError {
         /// Actual file size.
         file_size: u64,
     },
+    /// A connection drop reset the transfer's data flows mid-transfer and
+    /// the driver, which runs no stall watchdog, gave the session up.
+    ConnectionDropped {
+        /// Payload bytes fully delivered before the drop.
+        delivered_payload: u64,
+    },
 }
 
 impl fmt::Display for TransferError {
@@ -46,6 +52,10 @@ impl fmt::Display for TransferError {
             } => write!(
                 f,
                 "partial range {offset}+{length} exceeds file size {file_size}"
+            ),
+            TransferError::ConnectionDropped { delivered_payload } => write!(
+                f,
+                "connection dropped after {delivered_payload} payload bytes"
             ),
         }
     }

@@ -564,6 +564,55 @@ pub struct EngineStats {
     pub transition_flows_checked: u64,
 }
 
+impl EngineStats {
+    /// Every counter under its exported metric name (`simnet.<field>`), in
+    /// field order — the one place the engine's counters are named for
+    /// export. The destructuring names every field, so a new counter does
+    /// not compile until it is exported here.
+    pub fn counters(&self) -> [(&'static str, u64); 18] {
+        let EngineStats {
+            events_processed,
+            timers_fired,
+            flows_started,
+            flows_completed,
+            background_flows_started,
+            bytes_completed,
+            fault_transitions,
+            flows_dropped,
+            auto_shrinks,
+            incremental_solves,
+            full_solves,
+            solver_flows_touched,
+            solver_classes_touched,
+            event_cohorts,
+            batched_solves,
+            solves_avoided,
+            transitions_certified,
+            transition_flows_checked,
+        } = *self;
+        [
+            ("simnet.events_processed", events_processed),
+            ("simnet.timers_fired", timers_fired),
+            ("simnet.flows_started", flows_started),
+            ("simnet.flows_completed", flows_completed),
+            ("simnet.background_flows_started", background_flows_started),
+            ("simnet.bytes_completed", bytes_completed),
+            ("simnet.fault_transitions", fault_transitions),
+            ("simnet.flows_dropped", flows_dropped),
+            ("simnet.auto_shrinks", auto_shrinks),
+            ("simnet.incremental_solves", incremental_solves),
+            ("simnet.full_solves", full_solves),
+            ("simnet.solver_flows_touched", solver_flows_touched),
+            ("simnet.solver_classes_touched", solver_classes_touched),
+            ("simnet.event_cohorts", event_cohorts),
+            ("simnet.batched_solves", batched_solves),
+            ("simnet.solves_avoided", solves_avoided),
+            ("simnet.transitions_certified", transitions_certified),
+            ("simnet.transition_flows_checked", transition_flows_checked),
+        ]
+    }
+}
+
 /// The discrete-event network simulator.
 ///
 /// See the [crate-level documentation](crate) for a full example.

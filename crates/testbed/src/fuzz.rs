@@ -342,6 +342,7 @@ const BATCHING_COUNTERS: &[&str] = &[
     "simnet.incremental_solves",
     "simnet.full_solves",
     "simnet.solver_flows_touched",
+    "simnet.solver_classes_touched",
     "simnet.event_cohorts",
     "simnet.batched_solves",
     "simnet.solves_avoided",

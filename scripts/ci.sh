@@ -84,6 +84,27 @@ step_perfbench_digests() {
     step perfbench-digests check_perfbench_digests
 }
 
+# Paper-output gate: the paper binaries listed in experiments_output.txt
+# (`===== <bin> =====` headers), run at their default seeds in file order
+# without observability dumps, must print exactly that file. A change that
+# claims to leave the reproduced figures and tables alone so proves it.
+check_paper_outputs() {
+  cargo build --release --quiet -p datagrid-bench
+  local bin="${CARGO_TARGET_DIR:-target}/release"
+  local out="${CARGO_TARGET_DIR:-target}/paper-outputs.txt"
+  local b
+  : >"$out"
+  for b in $(sed -n 's/^===== \(.*\) =====$/\1/p' experiments_output.txt); do
+    echo "===== ${b} =====" >>"$out"
+    env -u DATAGRID_OBS_DIR "${bin}/${b}" >>"$out"
+  done
+  if ! diff experiments_output.txt "$out"; then
+    echo "paper outputs differ from experiments_output.txt (< pinned, > this tree)" >&2
+    return 1
+  fi
+}
+step_paper_outputs() { step paper-outputs check_paper_outputs; }
+
 if [ $# -gt 0 ]; then
   for sel in "$@"; do
     "step_${sel//-/_}"
@@ -100,6 +121,7 @@ else
   step_fuzz_smoke
   step_perfbench
   step_perfbench_digests
+  step_paper_outputs
 fi
 
 echo "==> ci OK"

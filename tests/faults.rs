@@ -256,3 +256,90 @@ fn all_replicas_dark_is_reported_with_the_casualty_list() {
         other => panic!("unexpected error {other:?}"),
     }
 }
+
+/// A plain `fetch` runs on the same recovering driver as
+/// `fetch_with_recovery`: a connection drop on the chosen replica
+/// mid-transfer is retried with the default recovery options, and the
+/// whole file arrives.
+#[test]
+fn plain_fetch_survives_a_connection_drop_on_the_chosen_replica() {
+    let mut grid = fault_grid(20050905, 1024, &TABLE1_SITES);
+    let client = grid.host_id("alpha1").unwrap();
+    let alpha4 = grid.host_id("alpha4").unwrap();
+    grid.install_fault_plan(
+        FaultPlan::new()
+            .connection_drop(grid.now() + SimDuration::from_secs(4), grid.node_of(alpha4)),
+    );
+    let report = grid
+        .fetch(client, "file-a")
+        .expect("the replica is still up");
+    assert_eq!(report.chosen_candidate().host_name, "alpha4");
+    assert_eq!(report.transfer.payload_bytes, 1024 * MB);
+    let m = grid.metrics_snapshot();
+    assert_eq!(m.counter("simnet.flows_dropped"), 1);
+    assert_eq!(m.counter("transfer.stalls"), 1);
+    assert_eq!(m.counter("transfer.retries"), 1);
+    assert_eq!(m.counter("selection.failovers"), 0);
+}
+
+/// `fetch_from` forces only its first decision: with the forced host
+/// blacked out, its retries run out and the fetch fails over like any
+/// other, and the audit shows both decisions in order.
+#[test]
+fn fetch_from_a_dark_host_fails_over_after_the_forced_decision() {
+    let mut grid = fault_grid(20050905, 256, &TABLE1_SITES);
+    let client = grid.host_id("alpha1").unwrap();
+    let alpha4 = grid.host_id("alpha4").unwrap();
+    grid.install_fault_plan(FaultPlan::new().host_blackout(
+        grid.now() + SimDuration::from_secs(1),
+        SimDuration::from_secs(100_000),
+        grid.node_of(alpha4),
+    ));
+    let report = grid
+        .fetch_from(client, "file-a", "alpha4", FetchOptions::default())
+        .expect("another replica delivers");
+    assert_ne!(report.chosen_candidate().host_name, "alpha4");
+    assert_eq!(report.transfer.payload_bytes, 256 * MB);
+    let policies: Vec<&str> = grid
+        .audit()
+        .decisions()
+        .iter()
+        .map(|d| d.policy.as_str())
+        .collect();
+    assert_eq!(policies, ["forced", "failover"]);
+    let winners: Vec<&str> = grid
+        .audit()
+        .decisions()
+        .iter()
+        .map(|d| d.winner.as_str())
+        .collect();
+    assert_eq!(winners[0], "alpha4");
+}
+
+/// The raw transfer primitives run no stall watchdog; a connection drop
+/// that resets their data flows ends them with a typed error carrying the
+/// payload delivered so far instead of waiting forever.
+#[test]
+fn transfer_primitives_fail_fast_on_a_connection_drop() {
+    let mut grid = fault_grid(20050905, 1024, &TABLE1_SITES);
+    let client = grid.host_id("alpha1").unwrap();
+    let alpha4 = grid.host_id("alpha4").unwrap();
+    grid.install_fault_plan(
+        FaultPlan::new()
+            .connection_drop(grid.now() + SimDuration::from_secs(4), grid.node_of(alpha4)),
+    );
+    let err = grid
+        .transfer_between(alpha4, client, TransferRequest::new(1024 * MB))
+        .expect_err("the drop reset the only stream");
+    match err {
+        GridError::Transfer(TransferError::ConnectionDropped { delivered_payload }) => {
+            assert!(delivered_payload < 1024 * MB)
+        }
+        other => panic!("unexpected error {other:?}"),
+    }
+    // The grid stays usable: the next transfer on the same pair completes.
+    let outcome = grid
+        .transfer_between(alpha4, client, TransferRequest::new(64 * MB))
+        .unwrap();
+    assert_eq!(outcome.payload_bytes, 64 * MB);
+}
