@@ -995,14 +995,7 @@ impl DataGrid {
     ///
     /// Panics on an unknown id.
     pub fn endpoint_for(&self, id: HostId) -> TransferEndpoint {
-        let host = &self.hosts[id.index()];
-        TransferEndpoint::new(
-            self.host_nodes[id.index()],
-            host.available_disk_read(),
-            host.available_disk_write(),
-            host.cpu_headroom(),
-            host.spec().compute_index(),
-        )
+        endpoint_of(&self.hosts, &self.host_nodes, id)
     }
 
     /// Runs a transfer between two grid hosts while monitoring continues.
@@ -1070,13 +1063,17 @@ impl DataGrid {
         dst: HostId,
     ) -> Result<TransferOutcome, GridError> {
         session.start(&mut self.sim);
+        let mut fresh: Vec<TransferEndpoint> =
+            sources.iter().map(|&s| self.endpoint_for(s)).collect();
         let outcome = loop {
             let ev = self
                 .sim
                 .next_event()
                 .expect("an active session keeps the queue non-empty");
             if session.owns(&ev) {
-                if let SessionStatus::Complete(outcome) = session.handle(&mut self.sim, &ev) {
+                // One solve for all the streams the ramp starts.
+                let status = self.sim.batched(|sim| session.handle(sim, &ev));
+                if let SessionStatus::Complete(outcome) = status {
                     break outcome;
                 }
             } else {
@@ -1098,11 +1095,14 @@ impl DataGrid {
                     // Host loads just advanced: propagate the fresh disk and
                     // CPU limits into the running transfer, so a transfer
                     // started against a momentarily saturated host recovers
-                    // as the load subsides (and vice versa).
-                    let fresh: Vec<TransferEndpoint> =
-                        sources.iter().map(|&s| self.endpoint_for(s)).collect();
+                    // as the load subsides (and vice versa). One solve
+                    // re-caps every stream.
+                    for (slot, &s) in fresh.iter_mut().zip(sources) {
+                        *slot = self.endpoint_for(s);
+                    }
                     let dst_fresh = self.endpoint_for(dst);
-                    session.refresh_endpoints(&mut self.sim, &fresh, dst_fresh);
+                    self.sim
+                        .batched(|sim| session.refresh_endpoints(sim, &fresh, dst_fresh));
                 }
             }
         };
@@ -1613,6 +1613,14 @@ impl DataGrid {
                 panic!("orphan timer token {other} reached the grid loop")
             }
             EventKind::FaultChanged(notice) => {
+                if notice.kind.is_instant() {
+                    // A connection drop resets flows without completions:
+                    // forget the probes it took, or `launch_probe` would
+                    // wait on them forever and their sensors would freeze.
+                    let sim = &self.sim;
+                    self.pending_probes
+                        .retain(|&id, _| sim.flow_rate(id).is_some());
+                }
                 self.invalidate_scores();
                 if let Some(tl) = self.timeline.as_mut() {
                     tl.record_fault(ev.time);
@@ -1736,6 +1744,20 @@ impl DataGrid {
             );
         }
     }
+}
+
+/// The transfer endpoint of host `id` under its current load (see
+/// [`DataGrid::endpoint_for`]), over just the two fields it reads, so a
+/// caller holding the simulator mutably can still build endpoints.
+fn endpoint_of(hosts: &[SimHost], host_nodes: &[NodeId], id: HostId) -> TransferEndpoint {
+    let host = &hosts[id.index()];
+    TransferEndpoint::new(
+        host_nodes[id.index()],
+        host.available_disk_read(),
+        host.available_disk_write(),
+        host.cpu_headroom(),
+        host.spec().compute_index(),
+    )
 }
 
 #[cfg(test)]

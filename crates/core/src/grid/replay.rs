@@ -46,7 +46,7 @@ use datagrid_simnet::engine::{EventKind, FlowId};
 use datagrid_simnet::time::{SimDuration, SimTime};
 use datagrid_sysmon::host::HostId;
 
-use super::{DataGrid, FetchOptions, FetchReport, SESSION_TOKEN_BASE, TOK_MONITOR};
+use super::{endpoint_of, DataGrid, FetchOptions, FetchReport, SESSION_TOKEN_BASE, TOK_MONITOR};
 use crate::error::GridError;
 use crate::factors::CandidateScore;
 use crate::recovery::{RecoveredFetch, RecoveryOptions};
@@ -793,15 +793,21 @@ impl<'a> Driver<'a> {
             self.grid.handle_internal(&ev);
             if monitor_tick {
                 // Host loads just advanced: push fresh disk/CPU limits
-                // into every running transfer.
-                for st in &mut self.states {
-                    if let Phase::Transferring(session) = &mut st.phase {
-                        let choice = st.choice.as_ref().expect("transferring jobs have a choice");
-                        let fresh = [self.grid.endpoint_for(choice.host)];
-                        let dst_fresh = self.grid.endpoint_for(st.client);
-                        session.refresh_endpoints(&mut self.grid.sim, &fresh, dst_fresh);
+                // into every running transfer, all re-caps sharing one
+                // solve.
+                let (hosts, nodes) = (&self.grid.hosts, &self.grid.host_nodes);
+                let states = &mut self.states;
+                self.grid.sim.batched(|sim| {
+                    for st in states {
+                        if let Phase::Transferring(session) = &mut st.phase {
+                            let choice =
+                                st.choice.as_ref().expect("transferring jobs have a choice");
+                            let fresh = [endpoint_of(hosts, nodes, choice.host)];
+                            let dst_fresh = endpoint_of(hosts, nodes, st.client);
+                            session.refresh_endpoints(sim, &fresh, dst_fresh);
+                        }
                     }
-                }
+                });
             }
         }
         Ok(())
@@ -1074,7 +1080,9 @@ impl<'a> Driver<'a> {
             let Phase::Transferring(session) = &mut self.states[idx].phase else {
                 unreachable!("owner scan only matches transferring jobs");
             };
-            session.handle(&mut self.grid.sim, ev)
+            // One solve for a burst: the ramp starts every stream, a
+            // stall aborts them all.
+            self.grid.sim.batched(|sim| session.handle(sim, ev))
         };
         match status {
             SessionStatus::InProgress => {

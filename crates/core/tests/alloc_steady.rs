@@ -109,11 +109,12 @@ fn warmed_grid() -> DataGrid {
     grid
 }
 
-/// Allocations of a steady-state replay of 24 staggered fetches (about 53
-/// per job, none per event): outcome records, session boxes, ranked
-/// candidate lists, phase records and the driver's routing tables. Any
-/// allocation added per event or per decision changes this number.
-const STEADY_REPLAY_ALLOCS: u64 = 1276;
+/// Allocations of a steady-state replay of 24 staggered fetches (about 41
+/// per job, none per event or monitor tick): outcome records, session
+/// boxes, ranked candidate lists, phase records and the driver's routing
+/// tables. Any allocation added per event or per decision changes this
+/// number.
+const STEADY_REPLAY_ALLOCS: u64 = 988;
 
 #[test]
 fn replay_allocations_scale_with_jobs_not_events() {

@@ -516,14 +516,14 @@ impl TransferSession {
         sim.schedule_timer_after(reply, self.token_base + Self::TOK_COMPLETION);
     }
 
-    /// The per-stream rate ceiling for each stripe source under current
+    /// The per-stream rate ceiling for stripe source `source` under current
     /// endpoint conditions: the TCP window/loss bound and the fair shares
     /// of the source disk/CPU and destination disk/CPU.
     #[expect(
         clippy::cast_possible_truncation,
         reason = "a session stripes over one source per replica, far fewer than u32::MAX"
     )]
-    fn per_source_stream_caps(&self, sim: &NetSim) -> Vec<Bandwidth> {
+    fn stream_cap(&self, sim: &NetSim, source: usize) -> Bandwidth {
         let mode = self.req.effective_mode();
         let streams = self.req.streams();
         let stripes = self.sources.len() as u32;
@@ -545,19 +545,15 @@ impl TransferSession {
             .as_bps()
             .min(self.dst.cpu_rate(&self.costs).as_bps() * mode_cpu_scale);
         let dst_share = dst_aggregate / total_streams as f64;
-        self.sources
-            .iter()
-            .map(|source| {
-                let rtt = sim.rtt(source.node, self.dst.node);
-                let tcp_cap = self.tcp.steady_rate(rtt).as_bps();
-                let src_aggregate = source
-                    .disk_read
-                    .as_bps()
-                    .min(source.cpu_rate(&self.costs).as_bps() * mode_cpu_scale);
-                let src_share = src_aggregate / f64::from(streams);
-                Bandwidth::from_bps(tcp_cap.min(src_share).min(dst_share))
-            })
-            .collect()
+        let source = &self.sources[source];
+        let rtt = sim.rtt(source.node, self.dst.node);
+        let tcp_cap = self.tcp.steady_rate(rtt).as_bps();
+        let src_aggregate = source
+            .disk_read
+            .as_bps()
+            .min(source.cpu_rate(&self.costs).as_bps() * mode_cpu_scale);
+        let src_share = src_aggregate / f64::from(streams);
+        Bandwidth::from_bps(tcp_cap.min(src_share).min(dst_share))
     }
 
     /// Updates the session's view of endpoint resources (disk availability,
@@ -579,14 +575,13 @@ impl TransferSession {
             self.sources.len(),
             "stripe count cannot change mid-transfer"
         );
-        self.sources = sources.to_vec();
+        self.sources.copy_from_slice(sources);
         self.dst = dst;
-        if self.state != State::Data || self.active_flows.is_empty() {
+        if self.state != State::Data {
             return;
         }
-        let caps = self.per_source_stream_caps(sim);
         for (&flow, stream) in &self.active_flows {
-            sim.set_flow_cap(flow, caps[stream.source]);
+            sim.set_flow_cap(flow, self.stream_cap(sim, stream.source));
         }
     }
 
@@ -627,12 +622,9 @@ impl TransferSession {
         let total_payload = self.req.payload_bytes();
         let stripes = self.sources.len() as u32;
         let stripe_payloads = TransferMode::split_across_streams(total_payload, stripes);
-        let caps = self.per_source_stream_caps(sim);
-        let sources = self.sources.clone();
-
-        for (src_idx, ((source, stripe_payload), cap)) in
-            sources.iter().zip(stripe_payloads).zip(caps).enumerate()
-        {
+        for (src_idx, stripe_payload) in stripe_payloads.into_iter().enumerate() {
+            let source = self.sources[src_idx];
+            let cap = self.stream_cap(sim, src_idx);
             for stream_payload in TransferMode::split_across_streams(stripe_payload, streams) {
                 let wire = mode.wire_bytes(stream_payload);
                 self.wire_bytes += wire;

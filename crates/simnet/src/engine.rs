@@ -198,7 +198,8 @@ pub struct FlowProgress {
     pub bytes_done: f64,
     /// Bytes still outstanding.
     pub bytes_remaining: f64,
-    /// Current allocated rate.
+    /// Last solved rate (inside a [`NetSim::batched`] scope, the rate
+    /// before the scope's deferred solve).
     pub rate: Bandwidth,
 }
 
@@ -550,10 +551,11 @@ pub struct EngineStats {
     /// [`NetSim::set_event_batching`]).
     pub event_cohorts: u64,
     /// Cohort-end solves that replaced two or more deferred per-event
-    /// solves with a single component solve.
+    /// solves with a single component solve (event cohorts and
+    /// [`NetSim::batched`] scopes alike).
     pub batched_solves: u64,
     /// Per-event solves skipped because a cohort deferred them into one
-    /// batched solve (`deferred - 1` summed over cohorts).
+    /// batched solve (`deferred - 1` summed over cohorts and scopes).
     pub solves_avoided: u64,
     /// Solver transitions audited and certified against the pre-solve bit
     /// snapshot (only counted while validation is on; see
@@ -680,10 +682,11 @@ pub struct NetSim {
     /// Same-instant cohort batching armed (see
     /// [`NetSim::set_event_batching`]; default `true`).
     batching: bool,
-    /// A cohort is open: flow mutations apply eagerly but rate solves are
+    /// A cohort (a same-instant event cohort or a [`NetSim::batched`]
+    /// scope) is open: flow mutations apply eagerly but rate solves are
     /// deferred into one batched solve at cohort end.
     batch_active: bool,
-    /// Per-event solves deferred by the open cohort so far.
+    /// Per-mutation solves deferred by the open cohort so far.
     batch_deferred: u64,
 }
 
@@ -800,6 +803,44 @@ impl NetSim {
         self.batching = enabled;
     }
 
+    /// Runs `f` as one same-instant mutation cohort: every flow mutation
+    /// inside (`start_flow`, `abort_flow`, `set_flow_cap`) applies eagerly,
+    /// but their rate solves are deferred into a single component solve
+    /// when `f` returns. Exact for the same reason event cohorts are (see
+    /// [`NetSim::set_event_batching`]): max-min rates depend only on the
+    /// instant's final flow/link state.
+    ///
+    /// Inside the scope no solved state may be read once a mutation is
+    /// pending: [`NetSim::flow_rate`], [`NetSim::available_bandwidth`],
+    /// [`NetSim::link_utilization`], [`NetSim::link_utilizations_into`]
+    /// and [`NetSim::verify_allocation`] debug-assert it, and simulated
+    /// time may not advance ([`NetSim::next_event`] and
+    /// [`NetSim::run_until`] assert the scope is closed). The
+    /// [`FlowProgress::rate`] an abort reports inside the scope is the
+    /// flow's last solved rate.
+    ///
+    /// With batching disarmed the scope is a no-op (one solve per
+    /// mutation, the differential baseline); a scope opened inside an
+    /// open one joins it.
+    pub fn batched<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
+        if !self.batching || self.batch_active {
+            return f(self);
+        }
+        self.begin_batch();
+        let out = f(self);
+        self.end_batch();
+        out
+    }
+
+    /// Debug-asserts that solved state (rates) is current: no open
+    /// cohort holds a deferred solve.
+    fn debug_assert_solved(&self) {
+        debug_assert!(
+            !(self.batch_active && self.batch_deferred > 0),
+            "solved state read inside a mutation scope with a solve pending"
+        );
+    }
+
     /// Turns per-solve allocation certification on or off at runtime.
     ///
     /// Defaults on in debug builds and under the `validate` cargo feature;
@@ -833,6 +874,7 @@ impl NetSim {
     ///
     /// Returns the first [`Violation`] that falsifies the certificate.
     pub fn verify_allocation(&self) -> Result<Certificate, Violation> {
+        self.debug_assert_solved();
         let live: Vec<u32> = (0..slot_u32(self.flows.len()))
             .filter(|&s| self.flows[s as usize].is_some())
             .collect();
@@ -1447,6 +1489,7 @@ impl NetSim {
 
     /// The rate currently allocated to a flow, if it is active.
     pub fn flow_rate(&self, id: FlowId) -> Option<Bandwidth> {
+        self.debug_assert_solved();
         let &slot = self.id_slots.get(&id)?;
         let f = self.flows[slot as usize]
             .as_ref()
@@ -1486,6 +1529,7 @@ impl NetSim {
         dst: NodeId,
         cap: Option<Bandwidth>,
     ) -> Bandwidth {
+        self.debug_assert_solved();
         let Some(path) = self.routing.path(src, dst) else {
             return Bandwidth::ZERO;
         };
@@ -1542,6 +1586,7 @@ impl NetSim {
     ///
     /// Panics if the link does not exist.
     pub fn link_utilization(&self, link: LinkId) -> f64 {
+        self.debug_assert_solved();
         let cap = self.link_caps[link.index()];
         if cap <= 0.0 {
             return 0.0;
@@ -1563,6 +1608,7 @@ impl NetSim {
     /// link-index order, reusing the caller's buffer. One deterministic
     /// pass for timeline sampling, instead of per-link calls.
     pub fn link_utilizations_into(&self, out: &mut Vec<f64>) {
+        self.debug_assert_solved();
         out.clear();
         out.reserve(self.link_caps.len());
         for index in 0..self.link_caps.len() {
@@ -1577,6 +1623,7 @@ impl NetSim {
     /// alone never produces public events, so the engine refuses to spin on
     /// it forever.)
     pub fn next_event(&mut self) -> Option<SimEvent> {
+        debug_assert!(!self.batch_active, "next_event inside a mutation scope");
         loop {
             if let Some(ev) = self.pending.pop_front() {
                 return Some(ev);
@@ -1601,6 +1648,7 @@ impl NetSim {
     /// the public events that occurred. Afterwards `now() == until` (or
     /// later if it already was).
     pub fn run_until(&mut self, until: SimTime) -> Vec<SimEvent> {
+        debug_assert!(!self.batch_active, "run_until inside a mutation scope");
         let mut events = Vec::new();
         loop {
             events.extend(self.pending.drain(..));

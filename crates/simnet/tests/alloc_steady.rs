@@ -237,3 +237,45 @@ fn warmed_drain_with_repeated_rate_changes_allocates_nothing() {
         "warmed drain with repeated rate changes must not allocate (saw {drain_allocs})"
     );
 }
+
+#[test]
+fn warmed_scoped_cap_burst_allocates_nothing() {
+    // A monitor tick re-caps every live flow inside one `batched` scope:
+    // the deferred seeds and the one cohort-end solve reuse the same
+    // scratch as event cohorts, so once warm the burst allocates nothing.
+    let (topo, a, b, c) = star();
+    let mut sim = NetSim::new(topo, 7);
+    sim.set_validation(false);
+    sim.set_auto_shrink(false);
+
+    const FLOWS: usize = 64;
+    let ids: Vec<FlowId> = (0..FLOWS)
+        .map(|i| {
+            let (src, dst) = if i % 2 == 0 { (a, b) } else { (a, c) };
+            sim.start_flow(FlowSpec::new(src, dst, 1 << 40))
+        })
+        .collect();
+    let burst = |sim: &mut NetSim, round: usize| {
+        sim.batched(|sim| {
+            for (i, &id) in ids.iter().enumerate() {
+                let mbps = [0.5, 2.0, 8.0][(i + round) % 3];
+                assert!(sim.set_flow_cap(id, Bandwidth::from_mbps(mbps)));
+            }
+        });
+    };
+    // Rounds 0..3 visit every (route, cap) class; round 3 is measured.
+    for round in 0..3 {
+        burst(&mut sim, round);
+    }
+    let solves = sim.stats().incremental_solves;
+    let before = allocs();
+    burst(&mut sim, 3);
+    let after = allocs();
+    assert_eq!(sim.stats().incremental_solves - solves, 1);
+    assert_eq!(
+        after - before,
+        0,
+        "warmed scoped cap burst must not allocate (saw {} allocations)",
+        after - before
+    );
+}

@@ -343,3 +343,35 @@ fn transfer_primitives_fail_fast_on_a_connection_drop() {
         .unwrap();
     assert_eq!(outcome.payload_bytes, 64 * MB);
 }
+
+/// A connection drop that resets an in-flight NWS probe must not freeze
+/// that path's sensor: the grid forgets the dropped probe and probes the
+/// path again on the next monitor cycle.
+#[test]
+fn nws_sensor_keeps_sampling_after_connection_drops_reset_its_probe() {
+    let mut grid = paper_testbed(7).build();
+    grid.warm_up(SimDuration::from_secs(300));
+    let alpha4 = grid.node_of(grid.host_id("alpha4").unwrap());
+    let alpha1 = grid.node_of(grid.host_id("alpha1").unwrap());
+    // Drops every 10 ms for 20 s: some land while a probe on the
+    // alpha4 -> alpha1 path is in flight.
+    let start = grid.now();
+    let mut plan = FaultPlan::new();
+    for i in 1..=2_000 {
+        plan = plan.connection_drop(start + SimDuration::from_millis(10 * i), alpha4);
+    }
+    grid.install_fault_plan(plan);
+    let end = start + SimDuration::from_secs(600);
+    grid.advance_to(end);
+    assert!(grid.metrics_snapshot().counter("simnet.flows_dropped") > 0);
+    let last = grid
+        .nws()
+        .sensor(alpha4, alpha1)
+        .and_then(|s| s.series().latest())
+        .expect("the alpha4 -> alpha1 path is monitored")
+        .time;
+    assert!(
+        end - last <= SimDuration::from_secs(30),
+        "alpha4 -> alpha1 sensor stopped sampling at {last} (run ends at {end})"
+    );
+}

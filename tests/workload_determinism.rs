@@ -27,6 +27,20 @@ fn report_lines(seed: u64, runs: &[GridScaleRun]) -> Vec<String> {
         .collect()
 }
 
+/// A counter of a metrics JSON export (`"name":<u64>`).
+fn counter(metrics_json: &str, name: &str) -> u64 {
+    let needle = format!("\"{name}\":");
+    let at = metrics_json
+        .find(&needle)
+        .unwrap_or_else(|| panic!("{name} missing from the metrics export"))
+        + needle.len();
+    let digits: String = metrics_json[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().expect("counter value")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -86,14 +100,34 @@ proptest! {
             prop_assert_eq!(&ra.obs.events_jsonl, &rb.obs.events_jsonl);
             prop_assert_eq!(&ra.obs.audit_jsonl, &rb.obs.audit_jsonl);
             // The metrics export is a single JSON line; mask it at the
-            // field level instead.
+            // field level instead. The two transition-certificate counters
+            // count solver passes too (one certificate per solve), so they
+            // are masked with them, and pinned to the solve count below so
+            // the mask cannot hide an uncertified solve.
             let fields = |json: &str| {
                 json.split(',')
-                    .filter(|f| !(f.contains("solve") || f.contains("cohort")))
+                    .filter(|f| {
+                        !(f.contains("solve")
+                            || f.contains("cohort")
+                            || f.contains("\"simnet.transitions_certified\"")
+                            || f.contains("\"simnet.transition_flows_checked\""))
+                    })
                     .map(str::to_string)
                     .collect::<Vec<_>>()
             };
             prop_assert_eq!(fields(&ra.obs.metrics_json), fields(&rb.obs.metrics_json));
+            for json in [&ra.obs.metrics_json, &rb.obs.metrics_json] {
+                let solves = counter(json, "simnet.incremental_solves")
+                    + counter(json, "simnet.full_solves");
+                let certified = counter(json, "simnet.transitions_certified");
+                // Validation (and with it certification) defaults on in
+                // debug builds; a release run certifies all or nothing.
+                if cfg!(debug_assertions) {
+                    prop_assert_eq!(certified, solves);
+                } else {
+                    prop_assert!(certified == solves || certified == 0);
+                }
+            }
             // The per-event run must actually have taken the other path.
             prop_assert!(rb.obs.metrics_json.contains("\"simnet.solves_avoided\":0"));
         }
