@@ -105,6 +105,30 @@ check_paper_outputs() {
 }
 step_paper_outputs() { step paper-outputs check_paper_outputs; }
 
+# Observability-dump gate: the paper binaries of experiments_output.txt plus
+# table1_fault, run at their default seeds in file order with
+# DATAGRID_OBS_DIR set, must write dump files (metrics, event JSONL,
+# selection audit) whose sha256 digests equal ci/obs_digests.txt. Every dump
+# is a pure function of the seed, so a change that claims to move no
+# simulated result proves it for the recorded events and counters too.
+check_obs_digests() {
+  cargo build --release --quiet -p datagrid-bench
+  local bin="${CARGO_TARGET_DIR:-target}/release"
+  local out="${CARGO_TARGET_DIR:-target}/obs-digests"
+  rm -rf "$out"
+  mkdir -p "$out/dumps"
+  local b
+  for b in $(sed -n 's/^===== \(.*\) =====$/\1/p' experiments_output.txt) table1_fault; do
+    DATAGRID_OBS_DIR="$out/dumps" "${bin}/${b}" >/dev/null
+  done
+  (cd "$out/dumps" && LC_ALL=C sha256sum -- *) >"$out/obs_digests.txt"
+  if ! diff ci/obs_digests.txt "$out/obs_digests.txt"; then
+    echo "obs dump digests differ from ci/obs_digests.txt (< pinned, > this tree)" >&2
+    return 1
+  fi
+}
+step_obs_digests() { step obs-digests check_obs_digests; }
+
 if [ $# -gt 0 ]; then
   for sel in "$@"; do
     "step_${sel//-/_}"
@@ -122,6 +146,7 @@ else
   step_perfbench
   step_perfbench_digests
   step_paper_outputs
+  step_obs_digests
 fi
 
 echo "==> ci OK"
