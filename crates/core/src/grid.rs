@@ -67,9 +67,11 @@ const STREAM_BOUNDS: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
 const DECISION_BOUNDS_SECS: &[f64] = &[0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0];
 
 const TOK_MONITOR: u64 = 0;
-const TOK_SENTINEL: u64 = 1;
 /// Probe-launch timers: `TOK_PROBE_BASE + pair_index`.
 const TOK_PROBE_BASE: u64 = 1000;
+/// Tokens from here up name a foreground owner: each block of
+/// [`TransferSession::TOKENS_PER_SESSION`] belongs to one GridFTP session,
+/// replay control wait or [`DataGrid::advance_to`] deadline.
 const SESSION_TOKEN_BASE: u64 = 1 << 20;
 
 /// Multiplier applied to the cost-model score of a replica whose location
@@ -389,10 +391,17 @@ impl GridBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if no hosts were added, the catalog host is unknown, or a
-    /// monitored path is unroutable.
+    /// Panics if no hosts were added, the catalog host is unknown, a
+    /// monitored path is unroutable, or more than 1,047,576 paths are
+    /// monitored (their probe timers would run into the session tokens).
     pub fn build(self) -> DataGrid {
         assert!(!self.hosts.is_empty(), "a grid needs at least one host");
+        let probe_tokens = SESSION_TOKEN_BASE - TOK_PROBE_BASE;
+        assert!(
+            self.monitored.len() as u64 <= probe_tokens,
+            "{} monitored paths exceed the {probe_tokens} probe tokens",
+            self.monitored.len()
+        );
         let timeline_window = self.timeline;
         let root = SimRng::seed_from_u64(self.seed);
         let mut sim = NetSim::new(self.topo, self.seed);
@@ -950,17 +959,10 @@ impl DataGrid {
         if until <= self.sim.now() {
             return;
         }
-        self.sim.schedule_timer(until, TOK_SENTINEL);
-        loop {
-            let ev = self
-                .sim
-                .next_event()
-                .expect("sentinel timer keeps the queue non-empty");
-            if matches!(ev.kind, EventKind::TimerFired(TOK_SENTINEL)) {
-                break;
-            }
-            self.handle_internal(&ev);
-        }
+        let deadline = self.alloc_session_tokens();
+        self.sim.schedule_timer(until, deadline);
+        // Owned events of finished sessions (stale watchdogs) are dropped.
+        while self.next_owned(None, |_, _, _| {}).kind != EventKind::TimerFired(deadline) {}
     }
 
     /// Advances simulated time by `duration` (e.g. to warm up sensors
@@ -1066,43 +1068,31 @@ impl DataGrid {
         let mut fresh: Vec<TransferEndpoint> =
             sources.iter().map(|&s| self.endpoint_for(s)).collect();
         let outcome = loop {
-            let ev = self
-                .sim
-                .next_event()
-                .expect("an active session keeps the queue non-empty");
-            if session.owns(&ev) {
+            // A monitor tick re-caps the streams from the fresh host loads,
+            // so a transfer started against a momentarily saturated host
+            // recovers as the load subsides (and vice versa).
+            let ev = self.next_owned(None, |sim, hosts, nodes| {
+                for (slot, &s) in fresh.iter_mut().zip(sources) {
+                    *slot = endpoint_of(hosts, nodes, s);
+                }
+                session.refresh_endpoints(sim, &fresh, endpoint_of(hosts, nodes, dst));
+            });
+            if let EventKind::FaultChanged(notice) = &ev.kind {
+                if notice.kind.is_instant()
+                    && session
+                        .active_flow_ids()
+                        .any(|id| self.sim.flow_rate(id).is_none())
+                {
+                    let delivered_payload = session.abort(&mut self.sim);
+                    return Err(GridError::Transfer(TransferError::ConnectionDropped {
+                        delivered_payload,
+                    }));
+                }
+            } else if session.owns(&ev) {
                 // One solve for all the streams the ramp starts.
                 let status = self.sim.batched(|sim| session.handle(sim, &ev));
                 if let SessionStatus::Complete(outcome) = status {
                     break outcome;
-                }
-            } else {
-                let monitor_tick = matches!(ev.kind, EventKind::TimerFired(TOK_MONITOR));
-                self.handle_internal(&ev);
-                if let EventKind::FaultChanged(notice) = &ev.kind {
-                    if notice.kind.is_instant()
-                        && session
-                            .active_flow_ids()
-                            .any(|id| self.sim.flow_rate(id).is_none())
-                    {
-                        let delivered_payload = session.abort(&mut self.sim);
-                        return Err(GridError::Transfer(TransferError::ConnectionDropped {
-                            delivered_payload,
-                        }));
-                    }
-                }
-                if monitor_tick {
-                    // Host loads just advanced: propagate the fresh disk and
-                    // CPU limits into the running transfer, so a transfer
-                    // started against a momentarily saturated host recovers
-                    // as the load subsides (and vice versa). One solve
-                    // re-caps every stream.
-                    for (slot, &s) in fresh.iter_mut().zip(sources) {
-                        *slot = self.endpoint_for(s);
-                    }
-                    let dst_fresh = self.endpoint_for(dst);
-                    self.sim
-                        .batched(|sim| session.refresh_endpoints(sim, &fresh, dst_fresh));
                 }
             }
         };
@@ -1589,6 +1579,62 @@ impl DataGrid {
         }
     }
 
+    /// The grid's one event loop: pops events and runs the shared plumbing
+    /// (the monitor tick and then one batched `recap` of the caller's live
+    /// sessions, NWS probes, fault bookkeeping) until it pops a timer or
+    /// flow completion whose token names a foreground owner, stale or not,
+    /// or a fault notice; returns that event. With `prof`, each pop runs in
+    /// a `settle` span that is credited with the solver passes inside it.
+    fn next_owned(
+        &mut self,
+        prof: Option<&PhaseProfiler>,
+        mut recap: impl FnMut(&mut NetSim, &[SimHost], &[NodeId]),
+    ) -> SimEvent {
+        loop {
+            let before = prof.map(|_| self.sim.stats());
+            let ev = {
+                let _settle = prof.map(|p| p.span("settle"));
+                self.sim
+                    .next_event()
+                    .expect("the caller's pending work keeps the queue non-empty")
+            };
+            if let (Some(prof), Some(before)) = (prof, before) {
+                // Engine counters only grow.
+                let after = self.sim.stats();
+                let solves = after.incremental_solves + after.full_solves
+                    - before.incremental_solves
+                    - before.full_solves;
+                let touched = after.solver_flows_touched - before.solver_flows_touched;
+                if solves > 0 {
+                    prof.record_external(&["settle", "solve"], solves, touched);
+                }
+                let avoided = after.solves_avoided - before.solves_avoided;
+                if avoided > 0 {
+                    let batched = after.batched_solves - before.batched_solves;
+                    prof.record_external(&["settle", "batch"], batched, avoided);
+                }
+            }
+            let owned = match &ev.kind {
+                EventKind::TimerFired(token) => *token >= SESSION_TOKEN_BASE,
+                EventKind::FlowCompleted(done) => done.token >= SESSION_TOKEN_BASE,
+                EventKind::FaultChanged(_) => false,
+            };
+            if owned {
+                return ev;
+            }
+            self.handle_internal(&ev);
+            match ev.kind {
+                EventKind::TimerFired(TOK_MONITOR) => {
+                    // One solve re-caps every live stream.
+                    let (hosts, nodes) = (&self.hosts, &self.host_nodes);
+                    self.sim.batched(|sim| recap(sim, hosts, nodes));
+                }
+                EventKind::FaultChanged(_) => return ev,
+                EventKind::TimerFired(_) | EventKind::FlowCompleted(_) => {}
+            }
+        }
+    }
+
     #[expect(
         clippy::cast_possible_truncation,
         reason = "probe tokens are TOK_PROBE_BASE plus an index into `monitored`, checked by the guard"
@@ -1596,18 +1642,10 @@ impl DataGrid {
     fn handle_internal(&mut self, ev: &SimEvent) {
         match &ev.kind {
             EventKind::TimerFired(TOK_MONITOR) => self.on_monitor_tick(),
-            EventKind::TimerFired(TOK_SENTINEL) => {
-                // A sentinel from an outer advance_to that was overtaken by
-                // a nested loop; nothing to do.
-            }
             EventKind::TimerFired(tok)
                 if (TOK_PROBE_BASE..TOK_PROBE_BASE + self.monitored.len() as u64).contains(tok) =>
             {
                 self.launch_probe((tok - TOK_PROBE_BASE) as usize);
-            }
-            EventKind::TimerFired(tok) if *tok >= SESSION_TOKEN_BASE => {
-                // A stale watchdog or backoff timer from a transfer
-                // session that has already finished; harmless.
             }
             EventKind::TimerFired(other) => {
                 panic!("orphan timer token {other} reached the grid loop")
@@ -1811,6 +1849,23 @@ mod tests {
         grid.place_replica("file-a", "fast").unwrap();
         grid.place_replica("file-a", "slow").unwrap();
         grid
+    }
+
+    /// 1,025 hosts would register 1,049,600 host pairs, past the bound.
+    #[test]
+    #[should_panic(expected = "1047577 monitored paths exceed the 1047576 probe tokens")]
+    fn build_rejects_more_probe_paths_than_probe_tokens() {
+        let mut b = GridBuilder::new(1);
+        let host = b.add_host(
+            HostSpec::new("solo"),
+            LoadModel::Constant(0.1),
+            LoadModel::Constant(0.1),
+        );
+        // Node-local paths get no sensor, but each still takes a token.
+        for _ in 0..1_047_577 {
+            b.monitor_path(host, host);
+        }
+        b.build();
     }
 
     #[test]

@@ -28,6 +28,12 @@
 //! and [`explore`](super::modelcheck::explore) enumerates the same
 //! function exhaustively.
 //!
+//! The driver takes its events from the grid's one event loop, which runs
+//! the monitoring, probe and fault plumbing and returns only events that
+//! name an owner by token. Each job waits on one token block at a time (a
+//! control timer's, or its GridFTP session's), so one map from block to
+//! job routes every event.
+//!
 //! Determinism: the replay consumes randomness only through the grid's
 //! own seeded sources (selector, backoff jitter, background traffic), and
 //! every routing decision is by value, never by map-iteration order — two
@@ -42,11 +48,11 @@ use datagrid_gridftp::executor::{SessionStatus, TransferSession};
 use datagrid_gridftp::instrument::protocol_label;
 use datagrid_gridftp::transfer::{PhaseRecord, TransferOutcome};
 use datagrid_obs::{Event, PhaseProfiler};
-use datagrid_simnet::engine::{EventKind, FlowId};
+use datagrid_simnet::engine::{EventKind, FlowCompletion, SimEvent};
 use datagrid_simnet::time::{SimDuration, SimTime};
 use datagrid_sysmon::host::HostId;
 
-use super::{endpoint_of, DataGrid, FetchOptions, FetchReport, SESSION_TOKEN_BASE, TOK_MONITOR};
+use super::{endpoint_of, DataGrid, FetchOptions, FetchReport, SESSION_TOKEN_BASE};
 use crate::error::GridError;
 use crate::factors::CandidateScore;
 use crate::recovery::{RecoveredFetch, RecoveryOptions};
@@ -377,12 +383,6 @@ struct JobState {
     /// The replica currently being fetched.
     choice: Option<CandidateScore>,
     phase: Phase,
-    /// Token block of the live GridFTP session, if any (key into
-    /// [`Driver::session_blocks`]).
-    session_block: Option<u64>,
-    /// Data flows the live session has started, mirrored into
-    /// [`Driver::flow_owner`]; the buffer is reused across attempts.
-    owned_flows: Vec<FlowId>,
 }
 
 impl JobState {
@@ -404,13 +404,13 @@ impl JobState {
     }
 }
 
-/// Routing map with fixed hash keys. The driver's maps are never iterated
-/// and their keys are internal tokens and flow ids, so a per-process random
-/// seed buys nothing; it only makes the moment a table resizes, and with it
-/// the replay's allocation count, differ from one process to the next.
-type RouteMap<K> = HashMap<K, usize, BuildHasherDefault<DefaultHasher>>;
+/// The block of [`TransferSession::TOKENS_PER_SESSION`] tokens `token`
+/// falls in: the key of [`Driver::owners`].
+fn token_block(token: u64) -> u64 {
+    (token - SESSION_TOKEN_BASE) / TransferSession::TOKENS_PER_SESSION
+}
 
-/// The replay event loop: grid + per-job state machines. `grid` and the
+/// The replay driver: grid + per-job state machines. `grid` and the
 /// driver's own fields are disjoint, so job state can be borrowed while
 /// grid methods run.
 struct Driver<'a> {
@@ -421,15 +421,13 @@ struct Driver<'a> {
     /// ([`DataGrid::fetch_from`]); failover decisions ignore it.
     forced: Option<&'a str>,
     states: Vec<JobState>,
-    /// Control-timer token -> job index (arrival, decision, backoff and
-    /// local-read timers; removed when fired).
-    timers: RouteMap<u64>,
-    /// Session token block -> job index, for O(1) routing of session
-    /// timers (control/ramp/completion/watchdog) without scanning jobs.
-    session_blocks: RouteMap<u64>,
-    /// Data-flow id -> job index, for O(1) routing of flow completions.
-    /// Never iterated (HashMap order must stay unobservable).
-    flow_owner: RouteMap<FlowId>,
+    /// Token block -> job index, for the one wait each live job has: a
+    /// control timer (arrival, decision, backoff, local read), removed when
+    /// it fires, or a GridFTP session, whose timers and data flows all carry
+    /// its block, removed when the session ends. Never iterated, so fixed
+    /// hash keys lose nothing and keep the moment the table resizes, and
+    /// with it the replay's allocation count, the same in every process.
+    owners: HashMap<u64, usize, BuildHasherDefault<DefaultHasher>>,
     /// Reusable ranked-candidate buffer for [`Driver::decide`]. After a
     /// decision it holds that ranking minus the chosen candidate, which
     /// `swap_remove` took from index [`Driver::last_chosen`].
@@ -490,9 +488,7 @@ impl DataGrid {
         for job in jobs {
             let at = job.at.max(started);
             let idx = driver.admit(job.client, &job.lfn, at);
-            let token = driver.grid.alloc_session_tokens();
-            driver.grid.sim.schedule_timer(at, token);
-            driver.timers.insert(token, idx);
+            driver.schedule_control(idx, at - started);
         }
         let run_result = driver.run();
         let raw = std::mem::take(&mut driver.outcomes);
@@ -681,9 +677,7 @@ impl<'a> Driver<'a> {
             recovery,
             forced: None,
             states: Vec::with_capacity(jobs),
-            timers: RouteMap::default(),
-            session_blocks: RouteMap::default(),
-            flow_owner: RouteMap::default(),
+            owners: HashMap::default(),
             cand_buf: Vec::new(),
             last_chosen: 0,
             last_transfer: None,
@@ -712,8 +706,6 @@ impl<'a> Driver<'a> {
             audit_seq: None,
             choice: None,
             phase: Phase::Arrival,
-            session_block: None,
-            owned_flows: Vec::new(),
         });
         self.outcomes.push(None);
         self.remaining += 1;
@@ -722,92 +714,37 @@ impl<'a> Driver<'a> {
 
     fn run(&mut self) -> Result<(), GridError> {
         while self.remaining > 0 {
-            let before = self.grid.sim.stats();
-            let ev = {
-                let _settle = self.prof.span("settle");
-                self.grid
-                    .sim
-                    .next_event()
-                    .expect("pending replay jobs keep the queue non-empty")
+            // A monitor tick pushes the fresh host loads into every running
+            // transfer, all re-caps sharing one solve.
+            let states = &mut self.states;
+            let ev = self.grid.next_owned(Some(&self.prof), |sim, hosts, nodes| {
+                for st in states.iter_mut() {
+                    if let Phase::Transferring(session) = &mut st.phase {
+                        let choice = st.choice.as_ref().expect("transferring jobs have a choice");
+                        let fresh = [endpoint_of(hosts, nodes, choice.host)];
+                        let dst_fresh = endpoint_of(hosts, nodes, st.client);
+                        session.refresh_endpoints(sim, &fresh, dst_fresh);
+                    }
+                }
+            });
+            // A fault notice needs nothing here: the stall watchdog notices
+            // what it did to a transfer.
+            let (EventKind::TimerFired(token)
+            | EventKind::FlowCompleted(FlowCompletion { token, .. })) = &ev.kind
+            else {
+                continue;
             };
-            // Attribute the solver work this settle step triggered to a
-            // nested `settle/solve` phase, from the engine's own counters.
-            let after = self.grid.sim.stats();
-            let solves = (after.incremental_solves + after.full_solves)
-                .saturating_sub(before.incremental_solves + before.full_solves);
-            if solves > 0 {
-                self.prof.record_external(
-                    &["settle", "solve"],
-                    solves,
-                    after
-                        .solver_flows_touched
-                        .saturating_sub(before.solver_flows_touched),
-                );
-            }
-            // Cohort batching: count batched solve passes and the per-event
-            // solves they replaced, so the profile shows the batching win.
-            let avoided = after.solves_avoided.saturating_sub(before.solves_avoided);
-            if avoided > 0 {
-                self.prof.record_external(
-                    &["settle", "batch"],
-                    after.batched_solves.saturating_sub(before.batched_solves),
-                    avoided,
-                );
-            }
-            // 1. Control timers (arrival, decision latency, backoff,
-            //    local read) — exact token match.
-            if let EventKind::TimerFired(tok) = &ev.kind {
-                if *tok >= SESSION_TOKEN_BASE {
-                    if let Some(idx) = self.timers.remove(tok) {
-                        self.on_control(idx)?;
-                        continue;
-                    }
-                    // 2a. Session timers (control/ramp/completion/
-                    //     watchdog): the token block identifies the owner
-                    //     directly. A block with no live session — or one
-                    //     whose session disowns the token — is a stale
-                    //     watchdog from a finished attempt.
-                    let block = (*tok - SESSION_TOKEN_BASE) / TransferSession::TOKENS_PER_SESSION;
-                    if let Some(&idx) = self.session_blocks.get(&block) {
-                        let owned = matches!(
-                            &self.states[idx].phase,
-                            Phase::Transferring(session) if session.owns(&ev)
-                        );
-                        if owned {
-                            self.on_session_event(idx, &ev)?;
-                            continue;
-                        }
-                    }
-                }
-            }
-            // 2b. Data-flow completions: the flow index identifies the
-            //     owner; unowned completions are NWS probes.
-            if let EventKind::FlowCompleted(done) = &ev.kind {
-                if let Some(&idx) = self.flow_owner.get(&done.id) {
-                    self.on_session_event(idx, &ev)?;
-                    continue;
-                }
-            }
-            // 3. Grid plumbing: monitoring, probes, faults, stale timers.
-            let monitor_tick = matches!(ev.kind, EventKind::TimerFired(TOK_MONITOR));
-            self.grid.handle_internal(&ev);
-            if monitor_tick {
-                // Host loads just advanced: push fresh disk/CPU limits
-                // into every running transfer, all re-caps sharing one
-                // solve.
-                let (hosts, nodes) = (&self.grid.hosts, &self.grid.host_nodes);
-                let states = &mut self.states;
-                self.grid.sim.batched(|sim| {
-                    for st in states {
-                        if let Phase::Transferring(session) = &mut st.phase {
-                            let choice =
-                                st.choice.as_ref().expect("transferring jobs have a choice");
-                            let fresh = [endpoint_of(hosts, nodes, choice.host)];
-                            let dst_fresh = endpoint_of(hosts, nodes, st.client);
-                            session.refresh_endpoints(sim, &fresh, dst_fresh);
-                        }
-                    }
-                });
+            let block = token_block(*token);
+            // A block with no live owner is a stale watchdog of a finished
+            // attempt.
+            let Some(&idx) = self.owners.get(&block) else {
+                continue;
+            };
+            if matches!(self.states[idx].phase, Phase::Transferring(_)) {
+                self.on_session_event(idx, block, &ev)?;
+            } else {
+                self.owners.remove(&block);
+                self.on_control(idx)?;
             }
         }
         Ok(())
@@ -817,35 +754,7 @@ impl<'a> Driver<'a> {
     fn schedule_control(&mut self, idx: usize, pause: SimDuration) {
         let token = self.grid.alloc_session_tokens();
         self.grid.sim.schedule_timer_after(pause, token);
-        self.timers.insert(token, idx);
-    }
-
-    /// Mirrors the flows the job's live session has started into
-    /// [`Driver::flow_owner`]. Called after every session call that can
-    /// start flows; the per-job `owned_flows` list keeps the mirror exact
-    /// without ever iterating the map.
-    fn sync_session_flows(&mut self, idx: usize) {
-        let st = &mut self.states[idx];
-        if let Phase::Transferring(session) = &st.phase {
-            for id in session.active_flow_ids() {
-                if !st.owned_flows.contains(&id) {
-                    st.owned_flows.push(id);
-                    self.flow_owner.insert(id, idx);
-                }
-            }
-        }
-    }
-
-    /// Unregisters a finished attempt's session block and flow mirror
-    /// (buffer capacity is kept for the next attempt).
-    fn release_session(&mut self, idx: usize) {
-        let st = &mut self.states[idx];
-        if let Some(block) = st.session_block.take() {
-            self.session_blocks.remove(&block);
-        }
-        for id in st.owned_flows.drain(..) {
-            self.flow_owner.remove(&id);
-        }
+        self.owners.insert(token_block(token), idx);
     }
 
     /// A control timer of job `idx` fired: the wait its phase names is
@@ -1062,37 +971,29 @@ impl<'a> Driver<'a> {
         st.attempts += 1;
         session.start(&mut self.grid.sim);
         st.phase = Phase::Transferring(Box::new(session));
-        st.owned_flows.clear();
-        let block = (base - SESSION_TOKEN_BASE) / TransferSession::TOKENS_PER_SESSION;
-        st.session_block = Some(block);
-        self.session_blocks.insert(block, idx);
+        self.owners.insert(token_block(base), idx);
         drop(guard);
         Ok(())
     }
 
-    fn on_session_event(
-        &mut self,
-        idx: usize,
-        ev: &datagrid_simnet::engine::SimEvent,
-    ) -> Result<(), GridError> {
+    /// Feeds `ev` to the session of job `idx`, which owns token `block`;
+    /// the block is released when the session ends.
+    fn on_session_event(&mut self, idx: usize, block: u64, ev: &SimEvent) -> Result<(), GridError> {
         let state = self.states[idx].fetch_state();
         let status = {
             let Phase::Transferring(session) = &mut self.states[idx].phase else {
-                unreachable!("owner scan only matches transferring jobs");
+                unreachable!("session events only reach transferring jobs");
             };
             // One solve for a burst: the ramp starts every stream, a
             // stall aborts them all.
             self.grid.sim.batched(|sim| session.handle(sim, ev))
         };
+        if !matches!(status, SessionStatus::InProgress) {
+            self.owners.remove(&block);
+        }
         match status {
-            SessionStatus::InProgress => {
-                // Ramp-up may have just started the data flows; mirror
-                // them into the dispatch index.
-                self.sync_session_flows(idx);
-                Ok(())
-            }
+            SessionStatus::InProgress => Ok(()),
             SessionStatus::Complete(outcome) => {
-                self.release_session(idx);
                 self.states[idx].payload_moved += outcome.payload_bytes;
                 let st = &self.states[idx];
                 let choice = st.choice.as_ref().expect("transferring jobs have a choice");
@@ -1109,7 +1010,6 @@ impl<'a> Driver<'a> {
                 self.advance(idx, state, FetchInput::Delivered)
             }
             SessionStatus::Failed(failure) => {
-                self.release_session(idx);
                 let st = &mut self.states[idx];
                 st.committed += failure.restart_offset();
                 st.payload_moved += failure.delivered_payload;

@@ -109,12 +109,12 @@ fn warmed_grid() -> DataGrid {
     grid
 }
 
-/// Allocations of a steady-state replay of 24 staggered fetches (about 41
+/// Allocations of a steady-state replay of 24 staggered fetches (about 40
 /// per job, none per event or monitor tick): outcome records, session
 /// boxes, ranked candidate lists, phase records and the driver's routing
-/// tables. Any allocation added per event or per decision changes this
+/// map. Any allocation added per event or per decision changes this
 /// number.
-const STEADY_REPLAY_ALLOCS: u64 = 988;
+const STEADY_REPLAY_ALLOCS: u64 = 957;
 
 #[test]
 fn replay_allocations_scale_with_jobs_not_events() {

@@ -373,17 +373,18 @@ impl TransferSession {
         self.active_flows.keys().copied()
     }
 
-    /// `true` if this event belongs to this session.
+    /// `true` if this event belongs to this session: a timer or data-flow
+    /// completion carrying a token of the session's range.
     pub fn owns(&self, event: &SimEvent) -> bool {
-        match &event.kind {
-            EventKind::TimerFired(token) => {
-                (self.token_base..self.token_base + Self::TOKENS_PER_SESSION).contains(token)
-            }
-            EventKind::FlowCompleted(done) => self.active_flows.contains_key(&done.id),
-            // Fault transitions are broadcast; the driver reacts, not the
-            // session (its watchdog notices the consequences).
-            EventKind::FaultChanged(_) => false,
-        }
+        let token = match &event.kind {
+            EventKind::TimerFired(token) => *token,
+            EventKind::FlowCompleted(done) => done.token,
+            // Fault transitions are broadcast; the driver decides what one
+            // means for the session (a stall for the watchdog, if armed, or
+            // a data flow lost to a connection drop).
+            EventKind::FaultChanged(_) => return false,
+        };
+        (self.token_base..self.token_base + Self::TOKENS_PER_SESSION).contains(&token)
     }
 
     /// Feeds one owned event; returns the session status.
@@ -628,8 +629,11 @@ impl TransferSession {
             for stream_payload in TransferMode::split_across_streams(stripe_payload, streams) {
                 let wire = mode.wire_bytes(stream_payload);
                 self.wire_bytes += wire;
-                let id =
-                    sim.start_flow(FlowSpec::new(source.node, self.dst.node, wire).with_cap(cap));
+                let id = sim.start_flow(
+                    FlowSpec::new(source.node, self.dst.node, wire)
+                        .with_cap(cap)
+                        .with_token(self.token_base),
+                );
                 self.active_flows.insert(
                     id,
                     StreamFlow {
@@ -1054,6 +1058,11 @@ mod tests {
         let mut done = Vec::new();
         while done.len() < 2 {
             let ev = sim.next_event().expect("work pending");
+            // Data flows carry their session's token base; only it owns them.
+            if let EventKind::FlowCompleted(flow) = &ev.kind {
+                assert_eq!(a.owns(&ev), flow.token == 1000);
+                assert_eq!(b.owns(&ev), flow.token == 2000);
+            }
             if a.owns(&ev) {
                 if let SessionStatus::Complete(o) = a.handle(&mut sim, &ev) {
                     done.push(o);

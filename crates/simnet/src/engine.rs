@@ -94,10 +94,13 @@ pub struct FlowSpec {
     pub cap: Option<Bandwidth>,
     /// Traffic class.
     pub tag: FlowTag,
+    /// Caller token, echoed in the flow's [`FlowCompletion`] the way a
+    /// timer's token is echoed in [`EventKind::TimerFired`] (default 0).
+    pub token: u64,
 }
 
 impl FlowSpec {
-    /// Creates a user flow with no rate cap.
+    /// Creates a user flow with no rate cap and token 0.
     pub fn new(src: NodeId, dst: NodeId, bytes: u64) -> Self {
         FlowSpec {
             src,
@@ -105,6 +108,7 @@ impl FlowSpec {
             bytes,
             cap: None,
             tag: FlowTag::User,
+            token: 0,
         }
     }
 
@@ -117,6 +121,12 @@ impl FlowSpec {
     /// Sets the traffic class.
     pub fn with_tag(mut self, tag: FlowTag) -> Self {
         self.tag = tag;
+        self
+    }
+
+    /// Sets the caller token the completion carries.
+    pub fn with_token(mut self, token: u64) -> Self {
+        self.token = token;
         self
     }
 }
@@ -138,6 +148,8 @@ pub struct FlowCompletion {
     pub finished: SimTime,
     /// Traffic class.
     pub tag: FlowTag,
+    /// The caller token of the flow's [`FlowSpec`].
+    pub token: u64,
 }
 
 impl FlowCompletion {
@@ -238,6 +250,7 @@ struct FlowState {
     /// When `remaining` was last made exact.
     last_update: SimTime,
     tag: FlowTag,
+    token: u64,
 }
 
 /// Queue payloads. A `Completion` is filed under its flow's slot, so
@@ -1427,6 +1440,7 @@ impl NetSim {
             started: self.now,
             last_update: self.now,
             tag: spec.tag,
+            token: spec.token,
         };
         let slot = match self.free_slots.pop() {
             Some(s) => {
@@ -1820,6 +1834,7 @@ impl NetSim {
                             started: f.started,
                             finished: self.now,
                             tag: f.tag,
+                            token: f.token,
                         }),
                     });
                 }
@@ -1844,6 +1859,7 @@ impl NetSim {
                     bytes: size.max(1.0) as u64,
                     cap: p.flow_cap,
                     tag: FlowTag::Background,
+                    token: 0,
                 };
                 self.queue
                     .push(next, Internal::BackgroundArrival { profile });
@@ -2200,6 +2216,21 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(sim.active_flow_count(), 0);
+    }
+
+    #[test]
+    fn flow_token_round_trips_to_its_completion() {
+        let (t, a, _, c) = line();
+        let mut sim = NetSim::new(t, 1);
+        sim.start_flow(FlowSpec::new(a, c, 1_000_000).with_token(1 << 33));
+        sim.start_flow(FlowSpec::new(a, c, 2_000_000));
+        let tokens: Vec<u64> = std::iter::from_fn(|| sim.next_event())
+            .filter_map(|ev| match ev.kind {
+                EventKind::FlowCompleted(done) => Some(done.token),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(tokens, [1 << 33, 0], "the default token is 0");
     }
 
     #[test]
