@@ -111,6 +111,11 @@ step_paper_outputs() { step paper-outputs check_paper_outputs; }
 # selection audit) whose sha256 digests equal ci/obs_digests.txt. Every dump
 # is a pure function of the seed, so a change that claims to move no
 # simulated result proves it for the recorded events and counters too.
+# None of those binaries makes more than 1,024 decisions, so one grid_scale
+# cell (2,048 clients, contention-aware) runs too: its dumps come out of an
+# audit log and an event log that have both wrapped, which pins the
+# eviction path. Its report goes to the gate's own directory, not to
+# BENCH_grid.json.
 check_obs_digests() {
   cargo build --release --quiet -p datagrid-bench
   local bin="${CARGO_TARGET_DIR:-target}/release"
@@ -121,6 +126,8 @@ check_obs_digests() {
   for b in $(sed -n 's/^===== \(.*\) =====$/\1/p' experiments_output.txt) table1_fault; do
     DATAGRID_OBS_DIR="$out/dumps" "${bin}/${b}" >/dev/null
   done
+  DATAGRID_OBS_DIR="$out/dumps" DATAGRID_GRID_CLIENTS=2048 DATAGRID_GRID_MODES=contention \
+    "${bin}/grid_scale" --out "$out/grid_scale.json" >/dev/null
   (cd "$out/dumps" && LC_ALL=C sha256sum -- *) >"$out/obs_digests.txt"
   if ! diff ci/obs_digests.txt "$out/obs_digests.txt"; then
     echo "obs dump digests differ from ci/obs_digests.txt (< pinned, > this tree)" >&2
