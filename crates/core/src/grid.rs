@@ -67,7 +67,7 @@ const STREAM_BOUNDS: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
 const DECISION_BOUNDS_SECS: &[f64] = &[0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0];
 
 const TOK_MONITOR: u64 = 0;
-/// Probe-launch timers: `TOK_PROBE_BASE + pair_index`.
+/// Probe-launch timers and probe flows: `TOK_PROBE_BASE + pair_index`.
 const TOK_PROBE_BASE: u64 = 1000;
 /// Tokens from here up name a foreground owner: each block of
 /// [`TransferSession::TOKENS_PER_SESSION`] belongs to one GridFTP session,
@@ -273,7 +273,9 @@ impl GridBuilder {
         node
     }
 
-    /// Registers a directed path for NWS bandwidth monitoring.
+    /// Registers a directed path for NWS bandwidth monitoring. Each
+    /// registration gets its own probe, so a path registered twice is
+    /// probed twice per monitoring interval.
     pub fn monitor_path(&mut self, src: NodeId, dst: NodeId) -> &mut Self {
         self.monitored.push((src, dst));
         self
@@ -393,7 +395,7 @@ impl GridBuilder {
     ///
     /// Panics if no hosts were added, the catalog host is unknown, a
     /// monitored path is unroutable, or more than 1,047,576 paths are
-    /// monitored (their probe timers would run into the session tokens).
+    /// monitored (their probe tokens would run into the session tokens).
     pub fn build(self) -> DataGrid {
         assert!(!self.hosts.is_empty(), "a grid needs at least one host");
         let probe_tokens = SESSION_TOKEN_BASE - TOK_PROBE_BASE;
@@ -457,6 +459,23 @@ impl GridBuilder {
             ));
         }
 
+        // The monitor tick's gauge names, formatted once.
+        let host_gauges = hosts
+            .iter()
+            .map(|h| {
+                let name = h.name();
+                [
+                    format!("host.{name}.cpu_idle"),
+                    format!("host.{name}.io_idle"),
+                ]
+            })
+            .collect();
+        let trace = NetworkTrace::watching(self.watched_links);
+        let link_gauges = trace
+            .iter()
+            .map(|(link, _)| format!("net.link.{}.utilization", link.index()))
+            .collect();
+
         let catalog_node = match &self.catalog_host {
             Some(name) => {
                 let id = host_by_name
@@ -491,12 +510,14 @@ impl GridBuilder {
             probe_bytes: self.probe_bytes,
             tcp_window: self.tcp_window,
             catalog_node,
-            pending_probes: HashMap::new(),
+            probe_flows: vec![None; self.monitored.len()],
             next_session_base: SESSION_TOKEN_BASE,
             monitored: self.monitored,
             control_cache_ttl: self.control_cache_ttl,
             control_cache: HashMap::new(),
-            trace: NetworkTrace::watching(self.watched_links),
+            trace,
+            host_gauges,
+            link_gauges,
             obs: {
                 let mut rec = Recorder::with_capacity(self.event_capacity);
                 rec.set_enabled(self.recording);
@@ -641,13 +662,19 @@ pub struct DataGrid {
     probe_bytes: u64,
     tcp_window: u64,
     catalog_node: NodeId,
-    pending_probes: HashMap<FlowId, (NodeId, NodeId)>,
+    /// The in-flight probe of each monitored path, indexed like
+    /// `monitored`.
+    probe_flows: Vec<Option<FlowId>>,
     next_session_base: u64,
     monitored: Vec<(NodeId, NodeId)>,
     control_cache_ttl: SimDuration,
     /// (control node, server node) -> cache expiry.
     control_cache: HashMap<(NodeId, NodeId), SimTime>,
     trace: NetworkTrace,
+    /// `host.<name>.{cpu_idle,io_idle}` gauge names, indexed like `hosts`.
+    host_gauges: Vec<[String; 2]>,
+    /// `net.link.<i>.utilization` gauge names, in `trace` order.
+    link_gauges: Vec<String>,
     obs: Recorder,
     next_span_id: u64,
     /// Jitter source for retry backoff, forked from the grid seed.
@@ -1527,7 +1554,8 @@ impl DataGrid {
         let id = self.next_span_id;
         self.next_span_id += 1;
         // The per-protocol / per-phase metric keys come from tiny closed
-        // sets; interning them keeps this path off the allocator.
+        // sets and are static strings here; the registry allocates a key
+        // only on a name's first use.
         let protocol_key = match protocol {
             "gridftp" => "transfer.count.gridftp",
             "ftp" => "transfer.count.ftp",
@@ -1655,9 +1683,11 @@ impl DataGrid {
                     // A connection drop resets flows without completions:
                     // forget the probes it took, or `launch_probe` would
                     // wait on them forever and their sensors would freeze.
-                    let sim = &self.sim;
-                    self.pending_probes
-                        .retain(|&id, _| sim.flow_rate(id).is_some());
+                    for probe in &mut self.probe_flows {
+                        if probe.is_some_and(|id| self.sim.flow_rate(id).is_none()) {
+                            *probe = None;
+                        }
+                    }
                 }
                 self.invalidate_scores();
                 if let Some(tl) = self.timeline.as_mut() {
@@ -1688,9 +1718,14 @@ impl DataGrid {
                 );
             }
             EventKind::FlowCompleted(done) => {
-                let Some((src, dst)) = self.pending_probes.remove(&done.id) else {
-                    panic!("orphan flow completion {:?}", done.id);
-                };
+                let index = done
+                    .token
+                    .checked_sub(TOK_PROBE_BASE)
+                    .and_then(|i| usize::try_from(i).ok())
+                    .filter(|&i| self.probe_flows.get(i) == Some(&Some(done.id)))
+                    .unwrap_or_else(|| panic!("orphan flow completion {:?}", done.id));
+                self.probe_flows[index] = None;
+                let (src, dst) = self.monitored[index];
                 let measured = done.avg_throughput();
                 if let Some(sensor) = self.nws.sensor_mut(src, dst) {
                     sensor.record(ev.time, measured);
@@ -1724,26 +1759,18 @@ impl DataGrid {
             host.advance_to(now);
             self.mds.refresh(HostId(i as u32), host, now);
         }
-        self.obs.metrics_mut().inc("monitor.ticks");
-        for i in 0..self.hosts.len() {
-            let (name, cpu, io) = {
-                let h = &self.hosts[i];
-                (h.name().to_string(), h.cpu_idle(), h.io_idle())
-            };
-            let m = self.obs.metrics_mut();
-            m.set_gauge(&format!("host.{name}.cpu_idle"), cpu);
-            m.set_gauge(&format!("host.{name}.io_idle"), io);
+        // The gauge names were formatted at build, so a tick allocates
+        // nothing here.
+        let m = self.obs.metrics_mut();
+        m.inc("monitor.ticks");
+        for (host, [cpu, io]) in self.hosts.iter().zip(&self.host_gauges) {
+            m.set_gauge(cpu, host.cpu_idle());
+            m.set_gauge(io, host.io_idle());
         }
-        let watched: Vec<(LinkId, f64)> = self
-            .trace
-            .iter()
-            .filter_map(|(link, t)| t.samples().last().map(|s| (link, s.utilization)))
-            .collect();
-        for (link, utilization) in watched {
-            self.obs.metrics_mut().set_gauge(
-                &format!("net.link.{}.utilization", link.index()),
-                utilization,
-            );
+        for ((_, t), name) in self.trace.iter().zip(&self.link_gauges) {
+            if let Some(s) = t.samples().last() {
+                m.set_gauge(name, s.utilization);
+            }
         }
         // Stagger one probe per monitored path across the interval: NWS
         // serialises probes within a clique so measurements do not contend
@@ -1760,18 +1787,19 @@ impl DataGrid {
     /// Launches the probe for monitored pair `index`, unless its previous
     /// probe is still in flight (a slow path must not pile up probes).
     fn launch_probe(&mut self, index: usize) {
-        let (src, dst) = self.monitored[index];
-        if self.pending_probes.values().any(|&p| p == (src, dst)) {
+        if self.probe_flows[index].is_some() {
             return;
         }
+        let (src, dst) = self.monitored[index];
         let tcp = self.tcp_for(src, dst);
         let cap = tcp.steady_rate(self.sim.rtt(src, dst));
         let id = self.sim.start_flow(
             FlowSpec::new(src, dst, self.probe_bytes)
                 .with_cap(cap)
-                .with_tag(FlowTag::Probe),
+                .with_tag(FlowTag::Probe)
+                .with_token(TOK_PROBE_BASE + index as u64),
         );
-        self.pending_probes.insert(id, (src, dst));
+        self.probe_flows[index] = Some(id);
         self.obs.metrics_mut().inc("nws.probes_started");
         if self.obs.is_enabled() {
             self.obs.emit(

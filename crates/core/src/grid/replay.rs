@@ -428,6 +428,11 @@ struct Driver<'a> {
     /// hash keys lose nothing and keep the moment the table resizes, and
     /// with it the replay's allocation count, the same in every process.
     owners: HashMap<u64, usize, BuildHasherDefault<DefaultHasher>>,
+    /// Jobs in [`Phase::Transferring`], ascending: the monitor-tick re-cap
+    /// walks only these. Ascending by job index because the order of the
+    /// re-caps' `set_flow_cap` calls seeds the batched solve's component
+    /// order, and that order breaks FIFO ties between completions.
+    transferring: Vec<usize>,
     /// Reusable ranked-candidate buffer for [`Driver::decide`]. After a
     /// decision it holds that ranking minus the chosen candidate, which
     /// `swap_remove` took from index [`Driver::last_chosen`].
@@ -678,6 +683,7 @@ impl<'a> Driver<'a> {
             forced: None,
             states: Vec::with_capacity(jobs),
             owners: HashMap::default(),
+            transferring: Vec::new(),
             cand_buf: Vec::new(),
             last_chosen: 0,
             last_transfer: None,
@@ -714,17 +720,19 @@ impl<'a> Driver<'a> {
 
     fn run(&mut self) -> Result<(), GridError> {
         while self.remaining > 0 {
-            // A monitor tick pushes the fresh host loads into every running
-            // transfer, all re-caps sharing one solve.
-            let states = &mut self.states;
+            // A monitor tick pushes the fresh host loads into the running
+            // transfers, walking only those; all re-caps share one solve.
+            let (states, transferring) = (&mut self.states, &self.transferring);
             let ev = self.grid.next_owned(Some(&self.prof), |sim, hosts, nodes| {
-                for st in states.iter_mut() {
-                    if let Phase::Transferring(session) = &mut st.phase {
-                        let choice = st.choice.as_ref().expect("transferring jobs have a choice");
-                        let fresh = [endpoint_of(hosts, nodes, choice.host)];
-                        let dst_fresh = endpoint_of(hosts, nodes, st.client);
-                        session.refresh_endpoints(sim, &fresh, dst_fresh);
-                    }
+                for &idx in transferring {
+                    let st = &mut states[idx];
+                    let Phase::Transferring(session) = &mut st.phase else {
+                        unreachable!("the transferring list holds transferring jobs");
+                    };
+                    let choice = st.choice.as_ref().expect("transferring jobs have a choice");
+                    let fresh = [endpoint_of(hosts, nodes, choice.host)];
+                    let dst_fresh = endpoint_of(hosts, nodes, st.client);
+                    session.refresh_endpoints(sim, &fresh, dst_fresh);
                 }
             });
             // A fault notice needs nothing here: the stall watchdog notices
@@ -972,12 +980,15 @@ impl<'a> Driver<'a> {
         session.start(&mut self.grid.sim);
         st.phase = Phase::Transferring(Box::new(session));
         self.owners.insert(token_block(base), idx);
+        let at = self.transferring.partition_point(|&j| j < idx);
+        self.transferring.insert(at, idx);
         drop(guard);
         Ok(())
     }
 
     /// Feeds `ev` to the session of job `idx`, which owns token `block`;
-    /// the block is released when the session ends.
+    /// the block is released, and the job leaves the transferring list,
+    /// when the session ends.
     fn on_session_event(&mut self, idx: usize, block: u64, ev: &SimEvent) -> Result<(), GridError> {
         let state = self.states[idx].fetch_state();
         let status = {
@@ -990,6 +1001,11 @@ impl<'a> Driver<'a> {
         };
         if !matches!(status, SessionStatus::InProgress) {
             self.owners.remove(&block);
+            let at = self
+                .transferring
+                .binary_search(&idx)
+                .expect("a job with a live session is on the transferring list");
+            self.transferring.remove(at);
         }
         match status {
             SessionStatus::InProgress => Ok(()),

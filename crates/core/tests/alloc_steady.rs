@@ -22,6 +22,7 @@ use std::cell::Cell;
 use datagrid_core::grid::{DataGrid, FetchOptions, GridBuilder};
 use datagrid_core::recovery::RecoveryOptions;
 use datagrid_core::ReplayJob;
+use datagrid_obs::metrics::MetricsRegistry;
 use datagrid_simnet::prelude::*;
 use datagrid_sysmon::host::HostSpec;
 use datagrid_sysmon::load::LoadModel;
@@ -109,12 +110,12 @@ fn warmed_grid() -> DataGrid {
     grid
 }
 
-/// Allocations of a steady-state replay of 24 staggered fetches (about 40
-/// per job, none per event or monitor tick): outcome records, session
-/// boxes, ranked candidate lists, phase records and the driver's routing
-/// map. Any allocation added per event or per decision changes this
-/// number.
-const STEADY_REPLAY_ALLOCS: u64 = 957;
+/// Allocations of a steady-state replay of 24 staggered fetches (about 21
+/// per job, none per event, monitor tick, probe or metric update):
+/// outcome records, session boxes, ranked candidate lists, phase records
+/// and the driver's routing map. Any allocation added per event or per
+/// decision changes this number.
+const STEADY_REPLAY_ALLOCS: u64 = 510;
 
 #[test]
 fn replay_allocations_scale_with_jobs_not_events() {
@@ -212,5 +213,28 @@ fn score_candidates_into_allocates_a_fixed_count_per_call() {
         miss,
         vec![1 + 6 * candidates; 8],
         "miss-path allocations per call"
+    );
+}
+
+#[test]
+fn metric_updates_allocate_only_on_a_names_first_use() {
+    let mut m = MetricsRegistry::new();
+    let mut update = |i: usize| match i % 4 {
+        0 => m.inc("transfer.count"),
+        1 => m.add("transfer.payload_bytes", 1 << 20),
+        2 => m.set_gauge("host.client.cpu_idle", 0.9),
+        _ => m
+            .register_histogram("transfer.seconds", &[1.0, 10.0])
+            .observe(2.0),
+    };
+    let first = per_call(4, &mut update);
+    assert!(
+        first.iter().all(|&n| n > 0),
+        "a new name allocates its key: {first:?}"
+    );
+    assert_eq!(
+        per_call(8, &mut update),
+        vec![0; 8],
+        "updates of existing names"
     );
 }

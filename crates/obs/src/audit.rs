@@ -3,6 +3,7 @@
 
 use crate::event::{json_f64, json_string};
 use datagrid_simnet::time::SimTime;
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 
 /// One candidate replica as the selection server scored it.
@@ -207,10 +208,11 @@ impl SelectionDecision {
     }
 }
 
-/// Bounded log of selection decisions, oldest first.
+/// Bounded log of selection decisions, oldest first. A ring: recording
+/// at capacity evicts the oldest decision in O(1).
 #[derive(Debug, Clone)]
 pub struct SelectionAuditLog {
-    decisions: Vec<SelectionDecision>,
+    decisions: VecDeque<SelectionDecision>,
     cap: usize,
     dropped: u64,
 }
@@ -227,7 +229,7 @@ impl SelectionAuditLog {
     /// A log retaining at most `cap` decisions (clamped to ≥ 1).
     pub fn with_capacity(cap: usize) -> Self {
         SelectionAuditLog {
-            decisions: Vec::new(),
+            decisions: VecDeque::new(),
             cap: cap.max(1),
             dropped: 0,
         }
@@ -236,26 +238,26 @@ impl SelectionAuditLog {
     /// Append a decision, dropping the oldest at capacity.
     pub fn record(&mut self, decision: SelectionDecision) {
         if self.decisions.len() == self.cap {
-            self.decisions.remove(0);
+            self.decisions.pop_front();
             self.dropped += 1;
         }
-        self.decisions.push(decision);
+        self.decisions.push_back(decision);
     }
 
     /// Retained decisions, oldest first.
-    pub fn decisions(&self) -> &[SelectionDecision] {
-        &self.decisions
+    pub fn decisions(&self) -> impl ExactSizeIterator<Item = &SelectionDecision> {
+        self.decisions.iter()
     }
 
     /// The most recent decision.
     pub fn last(&self) -> Option<&SelectionDecision> {
-        self.decisions.last()
+        self.decisions.back()
     }
 
     /// Mutable access to the most recent decision (for attaching measured
     /// times after the fetch completes).
     pub fn last_mut(&mut self) -> Option<&mut SelectionDecision> {
-        self.decisions.last_mut()
+        self.decisions.back_mut()
     }
 
     /// The sequence number the *next* recorded decision will get.
@@ -385,5 +387,51 @@ mod tests {
         assert_eq!(jsonl.lines().count(), 2);
         assert!(jsonl.contains("\"winner\":\"alpha4\""));
         assert!(log.render_text().contains("[chosen]"));
+    }
+
+    #[test]
+    fn ring_evicts_oldest_first_and_keeps_seq_handles() {
+        let mut log = SelectionAuditLog::with_capacity(3);
+        for i in 0..10u32 {
+            let mut d = decision();
+            d.lfn = format!("file-{i}");
+            assert_eq!(log.next_seq(), u64::from(i));
+            log.record(d);
+        }
+        let lfns: Vec<&str> = log.decisions().map(|d| d.lfn.as_str()).collect();
+        assert_eq!(lfns, ["file-7", "file-8", "file-9"]);
+        assert_eq!(log.len(), 3);
+        assert_eq!(log.dropped(), 7);
+        assert_eq!(log.next_seq(), 10);
+        for evicted in 0..7 {
+            assert!(log.decision_mut_by_seq(evicted).is_none(), "seq {evicted}");
+        }
+        assert!(log.decision_mut_by_seq(10).is_none());
+        // Seq 7..10 span the ring's wrap point (the head moved 7 slots).
+        for seq in 7..10u64 {
+            let d = log.decision_mut_by_seq(seq).expect("retained");
+            assert_eq!(d.lfn, format!("file-{seq}"));
+        }
+        log.decision_mut_by_seq(8)
+            .expect("retained")
+            .attach_measured("alpha4", 2.0);
+        log.last_mut().expect("non-empty").policy = "failover".into();
+        let last = log.last().expect("non-empty");
+        assert_eq!(
+            (last.lfn.as_str(), last.policy.as_str()),
+            ("file-9", "failover")
+        );
+        let jsonl = log.render_jsonl();
+        let order: Vec<usize> = ["file-7", "file-8", "file-9"]
+            .iter()
+            .map(|lfn| jsonl.find(&format!("\"lfn\":\"{lfn}\"")).expect("rendered"))
+            .collect();
+        assert!(
+            order.windows(2).all(|w| w[0] < w[1]),
+            "oldest first:\n{jsonl}"
+        );
+        assert_eq!(jsonl.lines().count(), 3);
+        let measured = jsonl.lines().nth(1).expect("three lines");
+        assert!(measured.contains("\"measured_secs\":2"), "{measured}");
     }
 }

@@ -132,11 +132,16 @@ impl Histogram {
 
 /// Registry of named metrics, exported in sorted-name order so two
 /// identical runs render byte-identical dumps.
+///
+/// Every update looks the name up by `&str` first: only the first use of
+/// a name allocates its key.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
+    /// Sorted by name, so [`MetricsRegistry::register_histogram`] can hand
+    /// out the slot one binary search found or made.
+    histograms: Vec<(String, Histogram)>,
 }
 
 impl MetricsRegistry {
@@ -152,7 +157,12 @@ impl MetricsRegistry {
 
     /// Increment a counter by `delta` (creating it at zero first).
     pub fn add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
+        match self.counters.get_mut(name) {
+            Some(count) => *count += delta,
+            None => {
+                self.counters.insert(name.to_string(), delta);
+            }
+        }
     }
 
     /// Current counter value (zero when never touched).
@@ -164,12 +174,12 @@ impl MetricsRegistry {
     /// merging counters kept by other subsystems (engine, catalog) into a
     /// snapshot.
     pub fn set_counter(&mut self, name: &str, value: u64) {
-        self.counters.insert(name.to_string(), value);
+        overwrite(&mut self.counters, name, value);
     }
 
     /// Set a gauge to an instantaneous value.
     pub fn set_gauge(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_string(), value);
+        overwrite(&mut self.gauges, name, value);
     }
 
     /// Current gauge value, if ever set.
@@ -182,9 +192,21 @@ impl MetricsRegistry {
     /// Bounds are fixed on first registration; re-registering with
     /// different bounds keeps the original.
     pub fn register_histogram(&mut self, name: &str, bounds: &[f64]) -> &mut Histogram {
+        let at = match self.find_histogram(name) {
+            Ok(at) => at,
+            Err(at) => {
+                self.histograms
+                    .insert(at, (name.to_string(), Histogram::new(bounds)));
+                at
+            }
+        };
+        &mut self.histograms[at].1
+    }
+
+    /// Where histogram `name` is, or where it would be inserted.
+    fn find_histogram(&self, name: &str) -> Result<usize, usize> {
         self.histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(bounds))
+            .binary_search_by(|(k, _)| k.as_str().cmp(name))
     }
 
     /// Record an observation, creating the histogram with
@@ -196,7 +218,8 @@ impl MetricsRegistry {
 
     /// Fetch a histogram by name.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
+        let at = self.find_histogram(name).ok()?;
+        Some(&self.histograms[at].1)
     }
 
     /// Iterate counters in name order.
@@ -294,6 +317,16 @@ impl MetricsRegistry {
         }
         out.push_str("}}");
         out
+    }
+}
+
+/// Sets `map[name]` to `value`, allocating the key only for a new name.
+fn overwrite<V>(map: &mut BTreeMap<String, V>, name: &str, value: V) {
+    match map.get_mut(name) {
+        Some(slot) => *slot = value,
+        None => {
+            map.insert(name.to_string(), value);
+        }
     }
 }
 

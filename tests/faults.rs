@@ -303,14 +303,12 @@ fn fetch_from_a_dark_host_fails_over_after_the_forced_decision() {
     let policies: Vec<&str> = grid
         .audit()
         .decisions()
-        .iter()
         .map(|d| d.policy.as_str())
         .collect();
     assert_eq!(policies, ["forced", "failover"]);
     let winners: Vec<&str> = grid
         .audit()
         .decisions()
-        .iter()
         .map(|d| d.winner.as_str())
         .collect();
     assert_eq!(winners[0], "alpha4");

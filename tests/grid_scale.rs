@@ -135,7 +135,6 @@ fn link_blackout_fails_over_affected_clients_only() {
     let failover_lfns: Vec<&str> = grid
         .audit()
         .decisions()
-        .iter()
         .filter(|d| d.policy.contains("failover"))
         .map(|d| d.lfn.as_str())
         .collect();
@@ -150,7 +149,6 @@ fn link_blackout_fails_over_affected_clients_only() {
     let hit_decisions = grid
         .audit()
         .decisions()
-        .iter()
         .filter(|d| d.lfn == "file-hit" && d.policy.contains("failover"))
         .count();
     assert!(hit_decisions >= 2, "both affected clients re-decide");
