@@ -105,6 +105,29 @@ check_paper_outputs() {
 }
 step_paper_outputs() { step paper-outputs check_paper_outputs; }
 
+# Examples gate: every example under examples/, built in release and run
+# without observability dumps in file-name order, must print exactly
+# ci/examples_output.txt (`===== <example> =====` headers). Every example
+# is seeded, so its stdout is a pure function of the code; a change that
+# rewrites an example's plumbing so proves it prints the same tour.
+check_examples() {
+  cargo build --release --quiet --examples
+  local bin="${CARGO_TARGET_DIR:-target}/release/examples"
+  local out="${CARGO_TARGET_DIR:-target}/examples-output.txt"
+  local f e
+  : >"$out"
+  for f in examples/*.rs; do
+    e=$(basename "$f" .rs)
+    echo "===== ${e} =====" >>"$out"
+    env -u DATAGRID_OBS_DIR "${bin}/${e}" >>"$out"
+  done
+  if ! diff ci/examples_output.txt "$out"; then
+    echo "example outputs differ from ci/examples_output.txt (< pinned, > this tree)" >&2
+    return 1
+  fi
+}
+step_examples() { step examples check_examples; }
+
 # Observability-dump gate: the paper binaries of experiments_output.txt plus
 # table1_fault, run at their default seeds in file order with
 # DATAGRID_OBS_DIR set, must write dump files (metrics, event JSONL,
@@ -153,6 +176,7 @@ else
   step_perfbench
   step_perfbench_digests
   step_paper_outputs
+  step_examples
   step_obs_digests
 fi
 
