@@ -25,9 +25,8 @@ use std::collections::HashMap;
 use datagrid_catalog::catalog::ReplicaCatalog;
 use datagrid_catalog::name::{LogicalFileName, PhysicalFileName};
 use datagrid_gridftp::executor::{ProtocolCosts, SessionStatus, TransferEndpoint, TransferSession};
-use datagrid_gridftp::instrument::{protocol_label, span_from_outcome};
 use datagrid_gridftp::transfer::{
-    DataChannelProtection, Protocol, TransferOutcome, TransferRequest,
+    protocol_label, DataChannelProtection, Protocol, TransferOutcome, TransferRequest,
 };
 use datagrid_gridftp::TransferError;
 use datagrid_obs::{
@@ -82,6 +81,11 @@ const SESSION_TOKEN_BASE: u64 = 1 << 20;
 /// it never complete), so the penalty must be strong enough to demote a
 /// top-scoring site below realistic remote candidates.
 const SUSPECT_SCORE_FACTOR: f64 = 0.15;
+
+/// How long an idle authenticated control connection stays cached: a
+/// repeat transfer over the same pair within it skips GSI
+/// authentication and the control handshake.
+const CONTROL_CACHE_TTL: SimDuration = SimDuration::from_secs(600);
 
 /// How the selection server obtains `BW_P` when scoring candidates.
 ///
@@ -216,12 +220,9 @@ pub struct GridBuilder {
     background: Vec<BackgroundProfile>,
     monitored: Vec<(NodeId, NodeId)>,
     catalog_host: Option<String>,
-    control_cache_ttl: SimDuration,
     watched_links: Vec<LinkId>,
     recording: bool,
-    event_capacity: usize,
     selection_mode: SelectionMode,
-    timeline: Option<SimDuration>,
 }
 
 impl GridBuilder {
@@ -241,12 +242,9 @@ impl GridBuilder {
             background: Vec::new(),
             monitored: Vec::new(),
             catalog_host: None,
-            control_cache_ttl: SimDuration::from_secs(600),
             watched_links: Vec::new(),
             recording: true,
-            event_capacity: Recorder::DEFAULT_EVENT_CAPACITY,
             selection_mode: SelectionMode::default(),
-            timeline: None,
         }
     }
 
@@ -344,13 +342,6 @@ impl GridBuilder {
         self
     }
 
-    /// Sets how long an idle authenticated control connection stays cached
-    /// (default 600 s; zero disables caching).
-    pub fn control_cache_ttl(&mut self, ttl: SimDuration) -> &mut Self {
-        self.control_cache_ttl = ttl;
-        self
-    }
-
     /// Enables or disables observability recording (events and selection
     /// audit). Recording is on by default; metrics are always collected.
     pub fn recording(&mut self, enabled: bool) -> &mut Self {
@@ -358,27 +349,10 @@ impl GridBuilder {
         self
     }
 
-    /// Capacity of the in-memory event ring buffer (default
-    /// [`Recorder::DEFAULT_EVENT_CAPACITY`]). Oldest events are evicted
-    /// once it fills; the drop count is tracked.
-    pub fn event_capacity(&mut self, capacity: usize) -> &mut Self {
-        self.event_capacity = capacity;
-        self
-    }
-
     /// Sets how the selection server reads `BW_P`
     /// (default: [`SelectionMode::Static`], the paper's behaviour).
     pub fn selection_mode(&mut self, mode: SelectionMode) -> &mut Self {
         self.selection_mode = mode;
-        self
-    }
-
-    /// Enables the sim-time health timeline with `window`-wide buckets
-    /// (default: off). The grid then folds link utilization, active
-    /// flows, decisions, failovers and fetch latencies into fixed windows
-    /// — see [`DataGrid::timeline`].
-    pub fn timeline_window(&mut self, window: SimDuration) -> &mut Self {
-        self.timeline = Some(window);
         self
     }
 
@@ -404,7 +378,6 @@ impl GridBuilder {
             "{} monitored paths exceed the {probe_tokens} probe tokens",
             self.monitored.len()
         );
-        let timeline_window = self.timeline;
         let root = SimRng::seed_from_u64(self.seed);
         let mut sim = NetSim::new(self.topo, self.seed);
         for profile in self.background {
@@ -495,7 +468,7 @@ impl GridBuilder {
         // First monitoring tick shortly after start-up.
         sim.schedule_timer(SimTime::from_secs_f64(1.0), TOK_MONITOR);
 
-        let mut grid = DataGrid {
+        DataGrid {
             sim,
             hosts,
             host_nodes,
@@ -513,13 +486,12 @@ impl GridBuilder {
             probe_flows: vec![None; self.monitored.len()],
             next_session_base: SESSION_TOKEN_BASE,
             monitored: self.monitored,
-            control_cache_ttl: self.control_cache_ttl,
             control_cache: HashMap::new(),
             trace,
             host_gauges,
             link_gauges,
             obs: {
-                let mut rec = Recorder::with_capacity(self.event_capacity);
+                let mut rec = Recorder::new();
                 rec.set_enabled(self.recording);
                 rec
             },
@@ -531,11 +503,7 @@ impl GridBuilder {
             prof: PhaseProfiler::new(),
             score_scratch: RefCell::new(ScoreScratch::default()),
             selection_epoch: 0,
-        };
-        if let Some(window) = timeline_window {
-            grid.enable_timeline(window);
         }
-        grid
     }
 }
 
@@ -667,7 +635,6 @@ pub struct DataGrid {
     probe_flows: Vec<Option<FlowId>>,
     next_session_base: u64,
     monitored: Vec<(NodeId, NodeId)>,
-    control_cache_ttl: SimDuration,
     /// (control node, server node) -> cache expiry.
     control_cache: HashMap<(NodeId, NodeId), SimTime>,
     trace: NetworkTrace,
@@ -861,7 +828,7 @@ impl DataGrid {
     }
 
     /// The sim-time health timeline, when enabled (via
-    /// [`GridBuilder::timeline_window`] or [`DataGrid::enable_timeline`]).
+    /// [`DataGrid::enable_timeline`]).
     pub fn timeline(&self) -> Option<&TimelineRecorder> {
         self.timeline.as_ref()
     }
@@ -1141,10 +1108,7 @@ impl DataGrid {
     /// Records that a control connection for `key` is open, resetting its
     /// idle expiry.
     fn remember_control(&mut self, key: (NodeId, NodeId)) {
-        if self.control_cache_ttl.is_zero() {
-            return;
-        }
-        if let Some(expiry) = self.sim.now().checked_add(self.control_cache_ttl) {
+        if let Some(expiry) = self.sim.now().checked_add(CONTROL_CACHE_TTL) {
             self.control_cache.insert(key, expiry);
         }
     }
@@ -1539,10 +1503,12 @@ impl DataGrid {
         });
     }
 
-    /// Records one finished transfer: span events, latency/byte/stream
-    /// metrics and per-phase timing histograms. `protocol` is a stable
-    /// label (`"gridftp"`, `"ftp"`, `"local"`); `lfn` labels the span
-    /// when the transfer serves a fetch.
+    /// Records one finished transfer: latency/byte/stream metrics,
+    /// per-phase timing histograms and, when recording, the span events
+    /// (`span.open`, one `span.phase` per phase, `span.close`; DESIGN.md
+    /// §4b defines their fields). `protocol` is a stable label
+    /// (`"gridftp"`, `"ftp"`, `"local"`); `lfn` labels the span when the
+    /// transfer serves a fetch.
     pub(crate) fn record_transfer(
         &mut self,
         src: &str,
@@ -1600,10 +1566,32 @@ impl DataGrid {
                 .observe((phase.end - phase.start).as_secs_f64());
         }
         if self.obs.is_enabled() {
-            let span = span_from_outcome(id, src, dst, protocol, lfn, outcome);
-            for event in span.to_events() {
-                self.obs.emit(event);
+            let mut open = Event::new(outcome.started, "gridftp", "span.open")
+                .with("span", id)
+                .with("src", src)
+                .with("dst", dst)
+                .with("protocol", protocol)
+                .with("payload_bytes", outcome.payload_bytes)
+                .with("streams", outcome.streams)
+                .with("stripes", outcome.stripes);
+            if let Some(lfn) = lfn {
+                open = open.with("lfn", lfn);
             }
+            self.obs.emit(open);
+            for phase in &outcome.phases {
+                self.obs.emit(
+                    Event::new(phase.end, "gridftp", "span.phase")
+                        .with("span", id)
+                        .with("phase", phase.name)
+                        .with("secs", phase.duration().as_secs_f64()),
+                );
+            }
+            self.obs.emit(
+                Event::new(outcome.finished, "gridftp", "span.close")
+                    .with("span", id)
+                    .with("secs", outcome.duration().as_secs_f64())
+                    .with("wire_bytes", outcome.wire_bytes),
+            );
         }
     }
 

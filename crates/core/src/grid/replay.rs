@@ -45,8 +45,7 @@ use std::hash::{BuildHasherDefault, DefaultHasher};
 
 use datagrid_catalog::name::LogicalFileName;
 use datagrid_gridftp::executor::{SessionStatus, TransferSession};
-use datagrid_gridftp::instrument::protocol_label;
-use datagrid_gridftp::transfer::{PhaseRecord, TransferOutcome};
+use datagrid_gridftp::transfer::{protocol_label, PhaseRecord, TransferOutcome};
 use datagrid_obs::{Event, PhaseProfiler};
 use datagrid_simnet::engine::{EventKind, FlowCompletion, SimEvent};
 use datagrid_simnet::time::{SimDuration, SimTime};

@@ -79,8 +79,7 @@ pub mod prelude {
     pub use crate::tuning::{Observation, WeightTuner};
     pub use datagrid_gridftp::retry::RetryPolicy;
     pub use datagrid_obs::{
-        CandidateAudit, Event, EventBus, JsonlSink, MetricsRegistry, Recorder, SelectionAuditLog,
-        SelectionDecision, TextSink, TransferSpan,
+        CandidateAudit, Event, MetricsRegistry, Recorder, SelectionAuditLog, SelectionDecision,
     };
     pub use datagrid_simnet::fault::{FaultKind, FaultPlan};
 }

@@ -18,6 +18,12 @@
 //! monitoring probes and other traffic; [`executor::run_transfer`] is the
 //! convenience wrapper when a transfer is the only foreground activity.
 //!
+//! A finished session's [`TransferOutcome`] carries its phase timeline
+//! (control — authentication and handshake —, ramp-up, data,
+//! completion). The crate records nothing itself: the grid orchestrator
+//! turns each outcome into its `span.*` events, labelling the protocol
+//! with [`transfer::protocol_label`].
+//!
 //! ## Example
 //!
 //! ```
@@ -47,7 +53,6 @@
 pub mod error;
 pub mod executor;
 pub mod gsi;
-pub mod instrument;
 pub mod mode;
 pub mod retry;
 pub mod session;
@@ -66,9 +71,10 @@ pub mod prelude {
         run_transfer, SessionStatus, TransferEndpoint, TransferFailure, TransferSession,
     };
     pub use crate::gsi::GsiConfig;
-    pub use crate::instrument::{protocol_label, span_from_outcome};
     pub use crate::mode::TransferMode;
     pub use crate::retry::RetryPolicy;
     pub use crate::session::{ControlScript, ControlStep};
-    pub use crate::transfer::{DataChannelProtection, Protocol, TransferOutcome, TransferRequest};
+    pub use crate::transfer::{
+        protocol_label, DataChannelProtection, Protocol, TransferOutcome, TransferRequest,
+    };
 }

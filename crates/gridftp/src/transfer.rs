@@ -16,6 +16,14 @@ pub enum Protocol {
     GridFtp,
 }
 
+/// Stable lowercase label for a protocol (used in events and metrics).
+pub fn protocol_label(protocol: Protocol) -> &'static str {
+    match protocol {
+        Protocol::Ftp => "ftp",
+        Protocol::GridFtp => "gridftp",
+    }
+}
+
 /// A byte range for partial file transfer (a GridFTP extension the paper
 /// lists among the protocol's Data Grid features).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

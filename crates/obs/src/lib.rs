@@ -8,18 +8,20 @@
 //!
 //! Three cooperating pieces, all dependency-free and deterministic:
 //!
-//! - a **structured event bus** ([`event::Event`], [`bus::EventBus`]) with
-//!   pluggable sinks — an in-memory ring buffer, and text / JSONL writers;
+//! - **structured events** ([`event::Event`]) retained oldest-first in a
+//!   bounded ring buffer ([`event::RingBuffer`]); every GridFTP session
+//!   lands there as its `span.open` / `span.phase` / `span.close`
+//!   events, emitted by the grid orchestrator straight from the
+//!   transfer's outcome;
 //! - a **metrics registry** ([`metrics::MetricsRegistry`]) of named
 //!   counters, gauges and fixed-bucket histograms, with byte-stable text
 //!   and JSON exporters;
-//! - **transfer spans** ([`span::TransferSpan`]) and a **selection audit
-//!   log** ([`audit::SelectionAuditLog`]) recording every GridFTP session's
-//!   phase timeline and every cost-model decision's per-candidate
-//!   `BW_P / CPU_P / IO_P` breakdown.
+//! - a **selection audit log** ([`audit::SelectionAuditLog`]) recording
+//!   every cost-model decision's per-candidate `BW_P / CPU_P / IO_P`
+//!   breakdown.
 //!
 //! [`Recorder`] bundles the ring buffer, registry and audit log into one
-//!   `Clone`-able unit so the `DataGrid` orchestrator (which is cloned for
+//! `Clone`-able unit so the `DataGrid` orchestrator (which is cloned for
 //! counterfactual replay) carries its instrumentation state by value:
 //! clones observe independently and never entangle.
 //!
@@ -32,19 +34,15 @@
 #![warn(rust_2018_idioms)]
 
 pub mod audit;
-pub mod bus;
 pub mod event;
 pub mod metrics;
 pub mod prof;
-pub mod span;
 pub mod timeline;
 
 pub use audit::{CandidateAudit, SelectionAuditLog, SelectionDecision};
-pub use bus::{EventBus, EventSink, JsonlSink, RingBufferSink, TextSink};
 pub use event::{Event, RingBuffer, Value};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use prof::{PhaseGuard, PhaseProfiler, PhaseStat, ProfSnapshot};
-pub use span::{PhaseSpan, TransferSpan};
 pub use timeline::{LinkHeat, TimelineRecorder, TimelineTotals, WindowSummary};
 
 /// The `Clone`-able observability state a grid carries by value.
@@ -156,16 +154,6 @@ impl Recorder {
     pub fn record_decision(&mut self, decision: SelectionDecision) {
         if self.enabled {
             self.audit.record(decision);
-        }
-    }
-
-    /// Replay the retained event history into a bus (oldest first).
-    ///
-    /// This is how the by-value recorder meets the pluggable-sink world:
-    /// attach text/JSONL sinks to a bus, then replay.
-    pub fn replay_into(&self, bus: &mut EventBus) {
-        for event in self.events.iter() {
-            bus.publish(event);
         }
     }
 

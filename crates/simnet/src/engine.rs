@@ -284,7 +284,11 @@ type ClassKey = (NodeId, NodeId, u64);
 #[derive(Debug, Clone, Default)]
 struct FlowClasses {
     /// Key -> (class id, live members). Looked up only, never iterated.
-    ids: HashMap<ClassKey, (u32, u32)>,
+    /// Fixed hash keys, as in `NetSim::id_slots`: with a per-process
+    /// random seed the table's capacity after churn, and with it
+    /// [`NetSim::scratch_footprint`], would differ from one process to
+    /// the next.
+    ids: HashMap<ClassKey, (u32, u32), BuildHasherDefault<DefaultHasher>>,
     /// Released ids, reused before new ones are minted.
     free: Vec<u32>,
     /// Exclusive upper bound of the ids minted so far.
@@ -2633,6 +2637,52 @@ mod tests {
         }
         while sim.next_event().is_some() {}
         assert_eq!(sim.stats().auto_shrinks, 0);
+    }
+
+    #[test]
+    fn class_churn_leaves_one_scratch_footprint_in_every_fresh_simulator() {
+        // Eight leaves on a hub: 56 ordered pairs times four caps give up
+        // to 224 flow classes, which join and leave in waves as flows of
+        // mixed sizes start on a timer and finish out of order.
+        let churn = || {
+            let mut t = Topology::new();
+            let hub = t.add_node("hub");
+            let leaves: Vec<NodeId> = (0..8).map(|i| t.add_node(format!("n{i}"))).collect();
+            for &leaf in &leaves {
+                t.add_duplex_link(hub, leaf, LinkSpec::new(mbps(100.0), ms(1)));
+            }
+            let mut sim = NetSim::new(t, 29);
+            sim.set_auto_shrink(false);
+            let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+            let mut started = 0;
+            sim.schedule_timer(SimTime::ZERO, 1);
+            while let Some(ev) = sim.next_event() {
+                if !matches!(ev.kind, EventKind::TimerFired(_)) || started == 600 {
+                    continue;
+                }
+                for _ in 0..12 {
+                    x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    let b = x.to_be_bytes();
+                    let (i, j) = (usize::from(b[0] % 8), usize::from(b[1] % 7));
+                    let (src, dst) = (leaves[i], leaves[(i + 1 + j) % 8]);
+                    let cap = mbps([5.0, 10.0, 20.0, 40.0][usize::from(b[2] % 4)]);
+                    let bytes = 50_000 + u64::from(b[3]) * 2_000;
+                    sim.start_flow(FlowSpec::new(src, dst, bytes).with_cap(cap));
+                    started += 1;
+                }
+                sim.schedule_timer_after(ms(20), 1);
+            }
+            assert_eq!(sim.active_flow_count(), 0);
+            sim.scratch_footprint()
+        };
+        let first = churn();
+        for _ in 0..7 {
+            assert_eq!(
+                churn(),
+                first,
+                "the class table's capacity moved between runs"
+            );
+        }
     }
 
     #[test]

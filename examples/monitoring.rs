@@ -4,13 +4,12 @@
 //! forecasts, MDS CPU state and sysstat I/O state — evolving on the
 //! simulated testbed, including the `sar`/`iostat`-style reports, the
 //! NWS forecaster battery's dynamic predictor selection, and the
-//! observability layer's event bus / metrics exports.
+//! observability layer's event history / metrics exports.
 //!
 //! ```sh
 //! cargo run --example monitoring
 //! ```
 
-use datagrid::obs::{Event, EventBus};
 use datagrid::prelude::*;
 use datagrid::sysmon::sysstat;
 use datagrid::testbed::calibration::Calibration;
@@ -128,8 +127,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- the observability layer: events, audit, metrics ----------------
     // Every monitoring action above also produced structured events; run
-    // one real fetch, then stream the retained history through an event
-    // bus into pluggable sinks.
+    // one real fetch, then walk the retained history oldest first.
     let report = grid.fetch(alpha1, "demo")?;
     println!(
         "\nfetch demo -> chose {} in {:.1} s; the decision was audited:",
@@ -140,16 +138,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         print!("{}", decision.render_text());
     }
 
-    let mut bus = EventBus::new();
-    let mut by_kind = std::collections::BTreeMap::<&'static str, u32>::new();
-    // Sinks are plain closures or writers; this one tallies event kinds.
-    bus.subscribe(move |e: &Event| {
-        *by_kind.entry(e.kind).or_insert(0) += 1;
+    for e in grid.recorder().events() {
         if e.kind == "span.close" || e.kind == "selection.decision" {
             println!("  bus <- {e}");
         }
-    });
-    grid.recorder().replay_into(&mut bus);
+    }
     println!(
         "replayed {} retained events ({} dropped from the ring) through the bus.",
         grid.recorder().events().len(),

@@ -1,8 +1,8 @@
 //! Integration coverage for the grid-wide observability layer: the
 //! selection audit of the paper's Table 1 scenario, metric exports and the
-//! event-bus bridge.
+//! transfer span events.
 
-use datagrid::obs::{EventBus, JsonlSink};
+use datagrid::obs::Value;
 use datagrid::prelude::*;
 
 const MB: u64 = 1 << 20;
@@ -131,19 +131,76 @@ fn metrics_export_has_latency_histograms_in_text_and_json() {
 }
 
 #[test]
-fn recorder_history_replays_into_a_jsonl_sink() {
+fn events_jsonl_renders_one_line_per_retained_event() {
     let mut grid = table1_grid(908);
     let client = grid.host_id("alpha1").unwrap();
     grid.fetch(client, "file-a").unwrap();
 
-    let mut bus = EventBus::new();
-    bus.subscribe(JsonlSink::new(Vec::new()));
-    grid.recorder().replay_into(&mut bus);
-    // The sink is owned by the bus; compare through the recorder's own
-    // JSONL render, which must match what streamed through the bus.
     let direct = grid.recorder().events_jsonl();
     assert_eq!(direct.lines().count(), grid.recorder().events().len());
     assert!(
         direct.contains("\"component\":\"gridftp\"") || direct.contains("\"kind\":\"span.open\"")
+    );
+}
+
+#[test]
+fn remote_fetch_span_events_mirror_the_transfer_outcome() {
+    let mut grid = table1_grid(909);
+    let client = grid.host_id("alpha1").unwrap();
+    let report = grid.fetch(client, "file-a").unwrap();
+    assert!(!report.local_hit, "alpha1 holds no replica of file-a");
+    let outcome = &report.transfer;
+
+    // The fetch's span: one `span.open`, one `span.phase` per outcome
+    // phase in order, one `span.close`, emitted back to back.
+    let events: Vec<&Event> = grid.recorder().events().collect();
+    let open_at = events
+        .iter()
+        .position(|e| e.kind == "span.open" && e.field("lfn") == Some(&Value::from("file-a")))
+        .expect("the fetch opens a span");
+    let span = &events[open_at..open_at + outcome.phases.len() + 2];
+    let id = span[0].field("span").expect("span id").clone();
+    assert!(span.iter().all(|e| e.component == "gridftp"));
+    assert!(span.iter().all(|e| e.field("span") == Some(&id)));
+
+    let open = span[0];
+    assert_eq!(open.time, outcome.started);
+    assert_eq!(
+        open.field("payload_bytes"),
+        Some(&Value::from(outcome.payload_bytes))
+    );
+    assert_eq!(open.field("streams"), Some(&Value::from(outcome.streams)));
+    assert_eq!(open.field("stripes"), Some(&Value::from(outcome.stripes)));
+    assert_eq!(open.field("protocol"), Some(&Value::from("gridftp")));
+    assert_eq!(
+        open.field("src"),
+        Some(&Value::from(report.chosen_candidate().host_name.as_str()))
+    );
+    assert_eq!(
+        open.field("dst"),
+        Some(&Value::from(report.client.as_str()))
+    );
+
+    assert!(!outcome.phases.is_empty());
+    for (event, phase) in span[1..=outcome.phases.len()].iter().zip(&outcome.phases) {
+        assert_eq!(event.kind, "span.phase");
+        assert_eq!(event.time, phase.end);
+        assert_eq!(event.field("phase"), Some(&Value::from(phase.name)));
+        assert_eq!(
+            event.field("secs"),
+            Some(&Value::from(phase.duration().as_secs_f64()))
+        );
+    }
+
+    let close = span[span.len() - 1];
+    assert_eq!(close.kind, "span.close");
+    assert_eq!(close.time, outcome.finished);
+    assert_eq!(
+        close.field("secs"),
+        Some(&Value::from(outcome.duration().as_secs_f64()))
+    );
+    assert_eq!(
+        close.field("wire_bytes"),
+        Some(&Value::from(outcome.wire_bytes))
     );
 }
