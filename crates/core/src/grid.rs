@@ -1685,11 +1685,10 @@ impl DataGrid {
                 // a fault can reroute or strand flows between monitor
                 // ticks, and that is exactly what the timeline is for.
                 self.sample_timeline();
-                let label = notice.kind.label();
                 let m = self.obs.metrics_mut();
                 m.inc("fault.transitions");
                 if notice.active || notice.kind.is_instant() {
-                    m.inc(&format!("fault.{label}"));
+                    m.inc(notice.kind.metric_name());
                 }
                 self.obs.emit(
                     Event::new(
@@ -1701,7 +1700,7 @@ impl DataGrid {
                             "fault.end"
                         },
                     )
-                    .with("kind", label)
+                    .with("kind", notice.kind.label())
                     .with("index", notice.index),
                 );
             }

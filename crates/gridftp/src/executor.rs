@@ -9,8 +9,6 @@
 //! [`run_transfer`] / [`run_striped_transfer`] when the transfer is the
 //! only foreground activity.
 
-use std::collections::HashMap;
-
 use datagrid_simnet::engine::{EventKind, FlowId, FlowSpec, NetSim, SimEvent};
 use datagrid_simnet::tcp::TcpParams;
 use datagrid_simnet::time::{SimDuration, SimTime};
@@ -186,8 +184,10 @@ pub struct TransferSession {
     state: State,
     started: SimTime,
     phases: Vec<PhaseRecord>,
-    /// Active data flows and what each is carrying.
-    active_flows: HashMap<FlowId, StreamFlow>,
+    /// Active data flows and what each is carrying, in start order: the
+    /// order re-caps and aborts reach the engine, where it breaks
+    /// completion ties.
+    active_flows: Vec<(FlowId, StreamFlow)>,
     /// Payload bytes fully delivered by already-completed streams.
     completed_payload: u64,
     wire_bytes: u64,
@@ -273,7 +273,7 @@ impl TransferSession {
             state: State::Idle,
             started: SimTime::ZERO,
             phases: Vec::new(),
-            active_flows: HashMap::new(),
+            active_flows: Vec::new(),
             completed_payload: 0,
             wire_bytes: 0,
         })
@@ -367,10 +367,9 @@ impl TransferSession {
         sim.schedule_timer_after(control, self.token_base + Self::TOK_CONTROL);
     }
 
-    /// Ids of the data flows currently in flight, in unspecified order
-    /// (drivers that index them must not let the order become observable).
+    /// Ids of the data flows currently in flight, in start order.
     pub fn active_flow_ids(&self) -> impl Iterator<Item = FlowId> + '_ {
-        self.active_flows.keys().copied()
+        self.active_flows.iter().map(|&(id, _)| id)
     }
 
     /// `true` if this event belongs to this session: a timer or data-flow
@@ -445,8 +444,8 @@ impl TransferSession {
                 SessionStatus::InProgress
             }
             (State::Data, EventKind::FlowCompleted(done)) => {
-                if let Some(stream) = self.active_flows.remove(&done.id) {
-                    self.completed_payload += stream.payload;
+                if let Some(i) = self.active_flows.iter().position(|&(id, _)| id == done.id) {
+                    self.completed_payload += self.active_flows.remove(i).1.payload;
                 }
                 if self.active_flows.is_empty() {
                     self.finish_data(sim, event.time);
@@ -485,8 +484,8 @@ impl TransferSession {
         let stalled = !self.active_flows.is_empty()
             && self
                 .active_flows
-                .keys()
-                .all(|&id| sim.flow_rate(id).is_none_or(|r| r.as_bps() <= 1e-6));
+                .iter()
+                .all(|&(id, _)| sim.flow_rate(id).is_none_or(|r| r.as_bps() <= 1e-6));
         if stalled {
             let resumable = self.req.effective_mode().is_extended();
             let delivered_payload = self.abort(sim);
@@ -581,7 +580,7 @@ impl TransferSession {
         if self.state != State::Data {
             return;
         }
-        for (&flow, stream) in &self.active_flows {
+        for &(flow, stream) in &self.active_flows {
             sim.set_flow_cap(flow, self.stream_cap(sim, stream.source));
         }
     }
@@ -601,7 +600,7 @@ impl TransferSession {
     )]
     pub fn abort(&mut self, sim: &mut NetSim) -> u64 {
         let mut delivered = self.completed_payload;
-        for (flow, stream) in self.active_flows.drain() {
+        for (flow, stream) in self.active_flows.drain(..) {
             if let Some(progress) = sim.abort_flow(flow) {
                 if stream.wire > 0 {
                     let fraction = (progress.bytes_done / stream.wire as f64).clamp(0.0, 1.0);
@@ -634,14 +633,14 @@ impl TransferSession {
                         .with_cap(cap)
                         .with_token(self.token_base),
                 );
-                self.active_flows.insert(
+                self.active_flows.push((
                     id,
                     StreamFlow {
                         source: src_idx,
                         payload: stream_payload,
                         wire,
                     },
-                );
+                ));
             }
         }
     }

@@ -73,12 +73,17 @@ pub enum FaultKind {
 impl FaultKind {
     /// Short stable label for logs and observability exports.
     pub fn label(&self) -> &'static str {
+        &self.metric_name()["fault.".len()..]
+    }
+
+    /// The `fault.<label>` counter a start of this kind increments.
+    pub fn metric_name(&self) -> &'static str {
         match self {
-            FaultKind::LinkDown { .. } => "link_down",
-            FaultKind::LinkBrownout { .. } => "link_brownout",
-            FaultKind::HostBlackout { .. } => "host_blackout",
-            FaultKind::HostDegraded { .. } => "host_degraded",
-            FaultKind::ConnectionDrop { .. } => "connection_drop",
+            FaultKind::LinkDown { .. } => "fault.link_down",
+            FaultKind::LinkBrownout { .. } => "fault.link_brownout",
+            FaultKind::HostBlackout { .. } => "fault.host_blackout",
+            FaultKind::HostDegraded { .. } => "fault.host_degraded",
+            FaultKind::ConnectionDrop { .. } => "fault.connection_drop",
         }
     }
 
