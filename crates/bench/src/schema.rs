@@ -29,7 +29,8 @@ const GRID_POSITIVE: [&str; 15] = [
 
 /// Hot-path counters that may legitimately be zero (a tiny cell can
 /// batch nothing); present and non-negative is the shape contract.
-const GRID_NON_NEGATIVE: [&str; 5] = [
+const GRID_NON_NEGATIVE: [&str; 6] = [
+    "uncongested_solves",
     "event_cohorts",
     "batched_solves",
     "solves_avoided",

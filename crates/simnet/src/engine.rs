@@ -18,6 +18,9 @@
 //!   flow/link graph it perturbs (see [`SolverMode`]). Max-min fairness
 //!   decomposes exactly across components — flows that share no links
 //!   (directly or transitively) cannot affect each other's rates.
+//! * **Uncongested fast path.** While per-link cap sums show no link can
+//!   saturate, every flow runs at its cap: a mutation re-rates just the
+//!   flows it touched, with no component walk and no fill.
 //! * **Lazy per-flow settling.** Byte accounting is advanced per flow when
 //!   its rate is about to change (or its progress is read), not for every
 //!   flow on every event. A flow whose rate is untouched by an event keeps
@@ -32,7 +35,7 @@ use std::hash::{BuildHasherDefault, DefaultHasher};
 use std::sync::Arc;
 
 use crate::background::BackgroundProfile;
-use crate::event::EventQueue;
+use crate::event::{EventQueue, KeyOf};
 use crate::fault::{FaultKind, FaultPlan, ScheduledFault};
 use crate::flow::MaxMinSolver;
 use crate::rng::SimRng;
@@ -43,6 +46,10 @@ use crate::verify::{Certificate, TransitionCertificate, Violation, ABS_TOL_BPS, 
 /// A slab burst below this peak never triggers the automatic low-water
 /// scratch compaction — small simulations keep their buffers.
 const AUTO_SHRINK_MIN_HIGH_WATER: usize = 128;
+
+/// Relative headroom below capacity that keeps a link out of reach of the
+/// progressive fill's saturation test (see [`LinkLoad`]).
+const UNCONGESTED_MARGIN: f64 = 1e-6;
 
 /// Identifier of a flow started on a [`NetSim`]. Unique for the lifetime of
 /// the simulation (never reused).
@@ -253,14 +260,28 @@ struct FlowState {
     token: u64,
 }
 
-/// Queue payloads. A `Completion` is filed under its flow's slot, so
-/// each live flow has at most one pending.
+/// Queue payloads. A `Completion` is filed under its flow's slot (see
+/// [`CompletionKey`]), so each live flow has at most one pending.
 #[derive(Debug, Clone, Copy)]
 enum Internal {
     Completion { slot: u32 },
     Timer { token: u64 },
     BackgroundArrival { profile: usize },
     FaultTransition { index: usize, start: bool },
+}
+
+/// Files a `Completion` under its flow's slot; every other payload is
+/// unkeyed.
+#[derive(Debug, Clone, Copy)]
+struct CompletionKey;
+
+impl KeyOf<Internal> for CompletionKey {
+    fn key_of(payload: &Internal) -> Option<usize> {
+        match *payload {
+            Internal::Completion { slot } => Some(slot as usize),
+            _ => None,
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -488,6 +509,33 @@ impl CompScratch {
             .expect("component flow is live")
     }
 
+    /// Groups the walked component by class and runs the fill over it;
+    /// `take_member_rate` of [`CompScratch::entry_of`] then reads each
+    /// member's rate, in component order.
+    fn fill(
+        &mut self,
+        solver: &mut MaxMinSolver,
+        flows: &[Option<FlowState>],
+        classes: usize,
+        link_caps: &[f64],
+    ) {
+        self.group_classes(flows, classes);
+        let comp = &*self;
+        solver.solve_with(
+            comp.entry_slot.len(),
+            |e| comp.entry_flow(flows, e).route.as_ref(),
+            |e| comp.entry_flow(flows, e).cap_bps,
+            |e| comp.entry_weight[e] as usize,
+            &comp.links,
+            link_caps,
+        );
+    }
+
+    /// The fill entry of component member `f` in the last grouping.
+    fn entry_of(&self, f: &FlowState) -> usize {
+        self.class_entry[f.class as usize] as usize
+    }
+
     /// Breadth-first closure: every flow crossing a reached link is added,
     /// and its route links extend the frontier, until fixpoint.
     fn expand(&mut self, flows: &[Option<FlowState>], link_flows: &[Vec<u32>]) {
@@ -514,6 +562,24 @@ impl CompScratch {
 struct TransitionScratch {
     /// `(slot, rate bits, remaining bits, settle clock)` per live flow.
     entries: Vec<(u32, u64, u64, SimTime)>,
+    /// Walk and fill of the uncongested-path oracle, kept apart so
+    /// validation leaves [`NetSim::scratch_footprint`] untouched.
+    comp: CompScratch,
+    solver: MaxMinSolver,
+}
+
+/// What a link's flows could ask of it. The link is *tight* when it
+/// carries a flow and their caps sum above `capacity·(1 −
+/// UNCONGESTED_MARGIN)`, or one is uncapped, or its capacity is below
+/// 1 bps; only a tight link can saturate in the fill (DESIGN.md §4d).
+#[derive(Debug, Clone, Copy, Default)]
+struct LinkLoad {
+    /// Sum of the finite caps of the crossing flows; exactly `0.0` when
+    /// the link carries none.
+    cap_sum: f64,
+    /// Crossing flows with an infinite cap.
+    unbounded: i32,
+    tight: bool,
 }
 
 /// Scratch for [`NetSim::available_bandwidth`] phantom-flow probes, kept in
@@ -556,6 +622,9 @@ pub struct EngineStats {
     pub incremental_solves: u64,
     /// Whole-grid (from-scratch) rate solves.
     pub full_solves: u64,
+    /// Incremental solves resolved without a fill because no link could
+    /// saturate (the mutated flows just take their caps).
+    pub uncongested_solves: u64,
     /// Total flows handed to the solver across all solves — the real work
     /// measure behind the incremental-vs-full speedup.
     pub solver_flows_touched: u64,
@@ -588,7 +657,7 @@ impl EngineStats {
     /// field order — the one place the engine's counters are named for
     /// export. The destructuring names every field, so a new counter does
     /// not compile until it is exported here.
-    pub fn counters(&self) -> [(&'static str, u64); 18] {
+    pub fn counters(&self) -> [(&'static str, u64); 19] {
         let EngineStats {
             events_processed,
             timers_fired,
@@ -601,6 +670,7 @@ impl EngineStats {
             auto_shrinks,
             incremental_solves,
             full_solves,
+            uncongested_solves,
             solver_flows_touched,
             solver_classes_touched,
             event_cohorts,
@@ -621,6 +691,7 @@ impl EngineStats {
             ("simnet.auto_shrinks", auto_shrinks),
             ("simnet.incremental_solves", incremental_solves),
             ("simnet.full_solves", full_solves),
+            ("simnet.uncongested_solves", uncongested_solves),
             ("simnet.solver_flows_touched", solver_flows_touched),
             ("simnet.solver_classes_touched", solver_classes_touched),
             ("simnet.event_cohorts", event_cohorts),
@@ -652,13 +723,20 @@ pub struct NetSim {
     id_slots: HashMap<FlowId, u32, BuildHasherDefault<DefaultHasher>>,
     /// Per-link index: slots of the flows crossing each link.
     link_flows: Vec<Vec<u32>>,
+    /// Per-link cap sums and tightness (see [`LinkLoad`]).
+    link_loads: Vec<LinkLoad>,
+    /// Links currently tight.
+    tight_links: usize,
+    /// Every live flow runs at exactly its cap: set after each fill to
+    /// "no link is tight", cleared by a fault transition.
+    all_at_caps: bool,
     /// Live flows' (route, cap) classes.
     classes: FlowClasses,
     /// Live flows of any class.
     active_flows: usize,
     /// Live user/probe flows (public work).
     public_flows: usize,
-    queue: EventQueue<Internal>,
+    queue: EventQueue<Internal, CompletionKey>,
     pending: VecDeque<SimEvent>,
     now: SimTime,
     next_flow: u64,
@@ -742,10 +820,13 @@ impl NetSim {
             free_slots: Vec::new(),
             id_slots: HashMap::default(),
             link_flows: vec![Vec::new(); link_count],
+            link_loads: vec![LinkLoad::default(); link_count],
+            tight_links: 0,
+            all_at_caps: true,
             classes: FlowClasses::default(),
             active_flows: 0,
             public_flows: 0,
-            queue: EventQueue::new(),
+            queue: EventQueue::default(),
             pending: VecDeque::new(),
             now: SimTime::ZERO,
             next_flow: 0,
@@ -1277,7 +1358,7 @@ impl NetSim {
         let links = self.link_caps.len();
         self.comp.shrink(slots, links);
         self.solver.shrink();
-        self.trans.entries = Vec::new();
+        self.trans = TransitionScratch::default();
         let mut probe = self.probe.borrow_mut();
         probe.comp.shrink(slots, links);
         probe.solver.shrink();
@@ -1462,6 +1543,7 @@ impl NetSim {
         for &l in route.iter() {
             self.link_flows[l.index()].push(slot);
         }
+        self.track_load(&route, cap_bps, 1);
         self.id_slots.insert(id, slot);
         self.net_version += 1;
         self.active_flows += 1;
@@ -1500,6 +1582,9 @@ impl NetSim {
         // Join before leaving, so an unchanged cap keeps its class id.
         f.class = self.classes.join(f.src, f.dst, f.cap_bps);
         self.classes.leave(f.src, f.dst, old_cap);
+        let route = Arc::clone(&f.route);
+        self.track_load(&route, old_cap, -1);
+        self.track_load(&route, cap.as_bps(), 1);
         self.net_version += 1;
         self.reallocate_for_flow(slot);
         true
@@ -1738,8 +1823,7 @@ impl NetSim {
                 // same cohort (drops, instant completions) are dead now.
                 let flows = &self.flows;
                 self.comp.flows.retain(|&s| flows[s as usize].is_some());
-                self.comp.expand(&self.flows, &self.link_flows);
-                self.solve_component();
+                self.solve_seeded();
             }
         }
         if deferred > 1 {
@@ -1880,6 +1964,9 @@ impl NetSim {
                 self.cap_snapshot.clear();
                 self.cap_snapshot.extend_from_slice(&self.link_caps);
                 self.apply_fault_capacities();
+                (0..self.link_caps.len()).for_each(|l| self.retally(l));
+                // Faults always fill: clearing the flag forces a cohort's.
+                self.all_at_caps = false;
                 self.net_version += 1;
                 if self.batch_active {
                     self.batch_deferred += 1;
@@ -1974,6 +2061,7 @@ impl NetSim {
                 .expect("flow indexed on its route links");
             lf.swap_remove(pos);
         }
+        self.track_load(&f.route, f.cap_bps, -1);
         self.free_slots.push(slot_u32(slot));
         self.net_version += 1;
         self.active_flows -= 1;
@@ -2002,8 +2090,7 @@ impl NetSim {
             SolverMode::Incremental => {
                 self.comp.begin(self.flows.len(), self.link_caps.len());
                 self.comp.add_flow(slot_u32(slot), &self.flows);
-                self.comp.expand(&self.flows, &self.link_flows);
-                self.solve_component();
+                self.solve_seeded();
             }
         }
     }
@@ -2021,8 +2108,7 @@ impl NetSim {
                 for &l in route {
                     self.comp.add_link(l);
                 }
-                self.comp.expand(&self.flows, &self.link_flows);
-                self.solve_component();
+                self.solve_seeded();
             }
         }
     }
@@ -2031,6 +2117,7 @@ impl NetSim {
     /// `self.comp`, then settles and reschedules exactly the flows whose
     /// rate actually changed.
     fn solve_component(&mut self) {
+        self.all_at_caps = self.tight_links == 0;
         let n = self.comp.flows.len();
         if n == 0 {
             return;
@@ -2038,56 +2125,149 @@ impl NetSim {
         if self.validate {
             self.snapshot_transition();
         }
+        let bound = self.classes.id_bound();
         self.comp
-            .group_classes(&self.flows, self.classes.id_bound());
-        let k = self.comp.entry_slot.len();
+            .fill(&mut self.solver, &self.flows, bound, &self.link_caps);
         self.stats.incremental_solves += 1;
         self.stats.solver_flows_touched += n as u64;
-        self.stats.solver_classes_touched += k as u64;
-        {
-            let flows = &self.flows;
-            let comp = &self.comp;
-            self.solver.solve_with(
-                k,
-                |e| comp.entry_flow(flows, e).route.as_ref(),
-                |e| comp.entry_flow(flows, e).cap_bps,
-                |e| comp.entry_weight[e] as usize,
-                &comp.links,
-                &self.link_caps,
-            );
-        }
-        // Settle and reschedule per flow, in component order: the event
-        // queue breaks completion ties FIFO.
+        self.stats.solver_classes_touched += self.comp.entry_slot.len() as u64;
         for i in 0..n {
             let slot = self.comp.flows[i] as usize;
             let f = self.flows[slot].as_ref().expect("component flow is live");
-            let new_rate = self
-                .solver
-                .take_member_rate(self.comp.class_entry[f.class as usize] as usize);
-            // NAN (never solved) compares unequal to everything, so a new
-            // flow always falls through to scheduling.
-            if f.rate_bps == new_rate {
-                continue;
+            let new_rate = self.solver.take_member_rate(self.comp.entry_of(f));
+            // NAN (never solved) differs from everything, so a new flow
+            // always takes the tail.
+            if f.rate_bps != new_rate {
+                self.assign_rate(slot, new_rate);
             }
-            let old_rate = f.rate_bps;
-            self.settle_flow(slot);
-            let f = self.flows[slot].as_mut().expect("component flow is live");
-            f.rate_bps = new_rate;
-            if old_rate > 0.0 && f.remaining <= 0.5 {
-                // Already due: a progressing flow whose bytes ran out still
-                // has its completion entry for this instant queued. Record
-                // the new rate (the certificate must see solved rates) but
-                // leave the entry, so it pops in its original order — this
-                // keeps the public timeline identical between the
-                // batched-cohort and per-event paths.
-                continue;
-            }
-            self.schedule_completion(slot);
         }
         if self.validate {
             self.enforce_transition(false);
             self.enforce_certificate(&self.comp.flows, &self.comp.links);
         }
+    }
+
+    /// Resolves the component seeded in `self.comp`: with every flow at
+    /// its cap and no link tight, re-rates just the seeded flows;
+    /// otherwise expands the seeds and runs the fill.
+    fn solve_seeded(&mut self) {
+        if self.all_at_caps && self.tight_links == 0 {
+            self.resolve_uncongested();
+        } else {
+            self.comp.expand(&self.flows, &self.link_flows);
+            self.solve_component();
+        }
+    }
+
+    /// The fill's answer while no link is tight and none was at the last
+    /// fill: every flow at its cap (DESIGN.md §4d). Only the seeded flows
+    /// can be off it; they take the fill's per-flow tail in its order.
+    fn resolve_uncongested(&mut self) {
+        let (comp, lf) = (&self.comp, &self.link_flows);
+        if comp.flows.is_empty() && comp.links.iter().all(|&l| lf[l as usize].is_empty()) {
+            return;
+        }
+        if self.validate {
+            self.snapshot_transition();
+        }
+        self.stats.uncongested_solves += 1;
+        for i in 0..self.comp.flows.len() {
+            let slot = self.comp.flows[i] as usize;
+            let f = self.flows[slot].as_ref().expect("seeded flow is live");
+            if f.rate_bps != f.cap_bps {
+                self.assign_rate(slot, f.cap_bps);
+            }
+        }
+        if self.validate {
+            self.check_uncongested();
+        }
+    }
+
+    /// Validation oracle of [`NetSim::resolve_uncongested`]: walks and
+    /// fills the component the fill would have solved, on scratch swapped
+    /// in for `self.comp`, and requires every member's rate to equal the
+    /// fill's bit for bit; then certifies the transition and allocation.
+    fn check_uncongested(&mut self) {
+        std::mem::swap(&mut self.comp, &mut self.trans.comp);
+        let NetSim {
+            comp, trans, flows, ..
+        } = self;
+        // `trans.comp` now holds the engine's walk and its seeds.
+        comp.begin(flows.len(), self.link_caps.len());
+        for &slot in &trans.comp.flows {
+            comp.add_flow(slot, flows);
+        }
+        for &l in &trans.comp.links {
+            comp.add_link(LinkId(l));
+        }
+        comp.expand(flows, &self.link_flows);
+        let bound = self.classes.id_bound();
+        comp.fill(&mut trans.solver, flows, bound, &self.link_caps);
+        for &slot in &comp.flows {
+            let f = flows[slot as usize].as_ref().expect("walked flow is live");
+            let fill = trans.solver.take_member_rate(comp.entry_of(f));
+            assert!(
+                fill.to_bits() == f.rate_bps.to_bits(),
+                "uncongested resolution left flow {} at {} bps; the fill gives {fill}",
+                f.id,
+                f.rate_bps
+            );
+        }
+        self.enforce_transition(false);
+        self.enforce_certificate(&self.comp.flows, &self.comp.links);
+        std::mem::swap(&mut self.comp, &mut self.trans.comp);
+    }
+
+    /// The per-flow tail of every component resolution, for a flow whose
+    /// rate changed: settles it, sets the new rate and refiles its
+    /// completion. Callers go in component order: the event queue breaks
+    /// completion ties FIFO.
+    fn assign_rate(&mut self, slot: usize, new_rate: f64) {
+        let old_rate = self.flows[slot]
+            .as_ref()
+            .expect("resolved flow is live")
+            .rate_bps;
+        self.settle_flow(slot);
+        let f = self.flows[slot].as_mut().expect("resolved flow is live");
+        f.rate_bps = new_rate;
+        if old_rate > 0.0 && f.remaining <= 0.5 {
+            // Already due: a progressing flow whose bytes ran out still
+            // has its completion entry for this instant queued. Record
+            // the new rate (the certificate must see solved rates) but
+            // leave the entry, so it pops in its original order — this
+            // keeps the public timeline identical between the
+            // batched-cohort and per-event paths.
+            return;
+        }
+        self.schedule_completion(slot);
+    }
+
+    /// Adds (`delta` 1) or removes (-1) a flow of cap `cap_bps` in the
+    /// load of each link on `route`, after the link indexes changed.
+    fn track_load(&mut self, route: &[LinkId], cap_bps: f64, delta: i32) {
+        for &l in route {
+            let load = &mut self.link_loads[l.index()];
+            if cap_bps.is_finite() {
+                load.cap_sum += f64::from(delta) * cap_bps;
+            } else {
+                load.unbounded += delta;
+            }
+            if self.link_flows[l.index()].is_empty() {
+                // Rounding never outlives the link's last flow.
+                load.cap_sum = 0.0;
+            }
+            self.retally(l.index());
+        }
+    }
+
+    /// Re-derives whether link `l` is tight (see [`LinkLoad`]).
+    fn retally(&mut self, l: usize) {
+        let load = &mut self.link_loads[l];
+        let cap = self.link_caps[l];
+        let tight = !self.link_flows[l].is_empty()
+            && (load.unbounded > 0 || cap < 1.0 || load.cap_sum > cap * (1.0 - UNCONGESTED_MARGIN));
+        self.tight_links = self.tight_links + usize::from(tight) - usize::from(load.tight);
+        load.tight = tight;
     }
 
     /// Full-mode baseline: settle every flow, solve the whole grid from
@@ -2096,6 +2276,7 @@ impl NetSim {
     /// `SolverMode::Full` stays the per-flow reference the class fill is
     /// differentially tested against.
     fn resolve_everything(&mut self) {
+        self.all_at_caps = self.tight_links == 0;
         if self.validate {
             self.snapshot_transition();
         }
@@ -2168,8 +2349,7 @@ impl NetSim {
             self.queue.remove_key(slot);
             return;
         };
-        self.queue.push_keyed(
-            slot,
+        self.queue.push(
             when,
             Internal::Completion {
                 slot: slot_u32(slot),
@@ -3516,5 +3696,239 @@ mod class_tests {
         sim.shrink_scratch();
         assert_eq!(sim.classes.id_bound(), 0);
         assert_eq!(sim.classes.footprint(), 0);
+    }
+}
+
+#[cfg(test)]
+mod uncongested_tests {
+    use super::*;
+    use crate::topology::LinkSpec;
+    use proptest::prelude::*;
+
+    fn bps(b: f64) -> Bandwidth {
+        Bandwidth::from_bps(b)
+    }
+
+    /// Two nodes joined by a duplex link of `capacity` bps each way;
+    /// returns the `a -> b` direction too.
+    fn pair(capacity: f64) -> (NetSim, NodeId, NodeId, LinkId) {
+        let mut t = Topology::new();
+        let a = t.add_node("a");
+        let b = t.add_node("b");
+        let (ab, _) = t.add_duplex_link(
+            a,
+            b,
+            LinkSpec::new(bps(capacity), SimDuration::from_millis(1)),
+        );
+        let mut sim = NetSim::new(t, 1);
+        sim.set_validation(true);
+        (sim, a, b, ab)
+    }
+
+    fn capped(sim: &mut NetSim, src: NodeId, dst: NodeId, cap: f64) -> FlowId {
+        sim.start_flow(FlowSpec::new(src, dst, 100_000_000).with_cap(bps(cap)))
+    }
+
+    fn rate(sim: &NetSim, id: FlowId) -> f64 {
+        sim.flow_rate(id).expect("flow is live").as_bps()
+    }
+
+    /// `(fills, uncongested resolutions)` so far.
+    fn passes(sim: &NetSim) -> (u64, u64) {
+        (sim.stats.incremental_solves, sim.stats.uncongested_solves)
+    }
+
+    #[test]
+    fn queue_entries_are_32_bytes() {
+        assert_eq!(std::mem::size_of::<crate::event::Entry<Internal>>(), 32);
+    }
+
+    #[test]
+    fn bottlenecked_flow_regains_exactly_its_cap_then_arrivals_skip_the_fill() {
+        let (mut sim, a, b, _) = pair(100e6);
+        let x = capped(&mut sim, a, b, 80e6);
+        assert_eq!(passes(&sim), (0, 1));
+        let y = capped(&mut sim, a, b, 80e6);
+        assert_eq!(
+            passes(&sim),
+            (1, 1),
+            "160 Mbps of caps on 100 Mbps is tight"
+        );
+        assert_eq!(rate(&sim, x), 50e6);
+        sim.abort_flow(y);
+        // No link is tight any more, but `x` still runs below its cap: the
+        // fill must run once more.
+        assert_eq!(passes(&sim), (2, 1));
+        assert_eq!(rate(&sim, x).to_bits(), 80e6f64.to_bits());
+        assert!(sim.all_at_caps && sim.tight_links == 0);
+        let z = capped(&mut sim, a, b, 10e6);
+        assert_eq!(passes(&sim), (2, 2));
+        assert_eq!(rate(&sim, z), 10e6);
+        assert_eq!(rate(&sim, x), 80e6);
+    }
+
+    #[test]
+    fn cap_sum_at_capacity_takes_the_fill() {
+        // The caps sum to exactly the capacity. The fill saturates the
+        // link at 5e7 and leaves `y` 0.0625 bps below its cap, an answer
+        // "every flow at its cap" would get wrong: the margin must keep
+        // such a link tight.
+        let (mut sim, a, b, _) = pair(1e8 + 0.0625);
+        let _x = capped(&mut sim, a, b, 5e7);
+        let y = capped(&mut sim, a, b, 5e7 + 0.0625);
+        assert_eq!(passes(&sim), (1, 1));
+        assert_eq!(rate(&sim, y), 5e7);
+    }
+
+    #[test]
+    fn cap_changes_cross_the_margin_both_ways() {
+        // Tight above 1e8 · (1 − 1e-6) = 99,999,900 bps of caps.
+        let (mut sim, a, b, _) = pair(100e6);
+        let _x = capped(&mut sim, a, b, 50e6);
+        let y = capped(&mut sim, a, b, 49_999_800.0);
+        assert_eq!(passes(&sim), (0, 2));
+        assert!(sim.set_flow_cap(y, bps(49_999_950.0)));
+        assert_eq!(passes(&sim), (1, 2), "crossing up into the margin fills");
+        assert_eq!(sim.tight_links, 1);
+        assert_eq!(rate(&sim, y), 49_999_950.0);
+        assert!(sim.set_flow_cap(y, bps(49_999_800.0)));
+        assert_eq!(passes(&sim), (2, 2), "the first step back out still fills");
+        assert_eq!(sim.tight_links, 0);
+        assert!(sim.set_flow_cap(y, bps(49_999_700.0)));
+        assert_eq!(passes(&sim), (2, 3));
+        assert_eq!(rate(&sim, y), 49_999_700.0);
+    }
+
+    #[test]
+    fn unbounded_flows_and_sub_bps_links_always_fill() {
+        // An uncapped flow makes its links tight.
+        let (mut sim, a, b, _) = pair(100e6);
+        let x = sim.start_flow(FlowSpec::new(a, b, 1_000_000));
+        assert_eq!(passes(&sim), (1, 0));
+        assert_eq!(rate(&sim, x), 100e6);
+        // A zero-capacity link carrying a zero-cap flow.
+        let (mut sim, a, b, _) = pair(0.0);
+        let x = capped(&mut sim, a, b, 0.0);
+        assert_eq!(passes(&sim), (1, 0));
+        assert_eq!(rate(&sim, x), 0.0);
+        // A link below 1 bps.
+        let (mut sim, a, b, _) = pair(0.5);
+        let x = capped(&mut sim, a, b, 0.1);
+        assert_eq!(passes(&sim), (1, 0));
+        assert_eq!(rate(&sim, x), 0.1);
+        // An empty route crosses no link, so it never is tight.
+        let (mut sim, a, _, _) = pair(100e6);
+        let x = capped(&mut sim, a, a, 5e6);
+        assert_eq!(passes(&sim), (0, 1));
+        assert_eq!(rate(&sim, x), 5e6);
+        // Its departure seeds no link: no solve either way.
+        sim.abort_flow(x);
+        assert_eq!(passes(&sim), (0, 1));
+    }
+
+    #[test]
+    fn brownout_makes_links_tight_until_it_clears() {
+        let (mut sim, a, b, ab) = pair(100e6);
+        let ba = sim.routing().path(b, a).expect("duplex").links()[0];
+        let s = SimDuration::from_secs;
+        sim.install_fault_plan(
+            FaultPlan::new()
+                .link_brownout(SimTime::ZERO + s(1), s(1), ab, 0.5)
+                .link_brownout(SimTime::ZERO + s(1), s(2), ba, 1e-9),
+        );
+        let x = capped(&mut sim, a, b, 40e6);
+        let _y = capped(&mut sim, a, b, 40e6);
+        assert_eq!(passes(&sim), (0, 2));
+        sim.run_until(SimTime::from_secs_f64(1.5));
+        // 80 Mbps of caps on 50 Mbps; the idle reverse link, now at
+        // 0.1 bps, is not tight until a flow crosses it.
+        assert_eq!(sim.tight_links, 1);
+        assert_eq!(rate(&sim, x), 25e6);
+        let back = capped(&mut sim, b, a, 1e6);
+        assert_eq!(sim.tight_links, 2);
+        assert_eq!(rate(&sim, back), 0.1);
+        sim.run_until(SimTime::from_secs_f64(2.5));
+        assert_eq!(sim.tight_links, 1);
+        assert_eq!(rate(&sim, x), 40e6);
+        sim.run_until(SimTime::from_secs_f64(3.5));
+        assert!(sim.tight_links == 0 && sim.all_at_caps);
+        assert_eq!(rate(&sim, back), 1e6);
+        let before = passes(&sim);
+        let z = capped(&mut sim, a, b, 10e6);
+        assert_eq!(passes(&sim), (before.0, before.1 + 1));
+        assert_eq!(rate(&sim, z), 10e6);
+    }
+
+    /// Sources `s0..s2` and sinks `d0..d1` on both sides of one shared
+    /// middle link, edges at 1 Gbps.
+    fn dumbbell(middle: f64) -> (NetSim, Vec<NodeId>) {
+        let mut t = Topology::new();
+        let h1 = t.add_node("h1");
+        let h2 = t.add_node("h2");
+        let ms = SimDuration::from_millis(2);
+        t.add_duplex_link(h1, h2, LinkSpec::new(bps(middle), ms));
+        let mut ends = Vec::new();
+        for (i, hub) in [h1, h1, h1, h2, h2].into_iter().enumerate() {
+            let n = t.add_node(format!("n{i}"));
+            t.add_duplex_link(n, hub, LinkSpec::new(bps(1e9), ms));
+            ends.push(n);
+        }
+        (NetSim::new(t, 7), ends)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random arrivals, aborts, cap changes, cohorts and time steps
+        /// with validation on: every uncongested resolution runs the
+        /// shadow fill, which panics on any rate the fill would not
+        /// give, and every resolution is certified.
+        #[test]
+        fn churn_under_validation_matches_the_fill(
+            middle in 5e6f64..200e6,
+            ops in proptest::collection::vec(
+                (0u8..6, 0usize..25, 0usize..25, 0.0f64..40e6, 0u64..400),
+                1..80,
+            ),
+        ) {
+            let (mut sim, ends) = dumbbell(middle);
+            sim.set_validation(true);
+            let mut live: Vec<FlowId> = Vec::new();
+            let spec = |i: usize, j: usize, cap: f64| {
+                let f = FlowSpec::new(ends[i % 5], ends[j % 5], 2_000_000);
+                // One flow in seven is uncapped (node-local flows never
+                // are: their rate would be infinite).
+                if i.is_multiple_of(7) && i % 5 != j % 5 { f } else { f.with_cap(bps(cap)) }
+            };
+            for (op, i, j, cap, ms) in ops {
+                match op {
+                    0 | 1 => live.push(sim.start_flow(spec(i, j, cap))),
+                    2 if !live.is_empty() => {
+                        sim.abort_flow(live.swap_remove(i % live.len()));
+                    }
+                    3 if !live.is_empty() => {
+                        sim.set_flow_cap(live[i % live.len()], bps(cap));
+                    }
+                    4 => sim.batched(|sim| {
+                        live.push(sim.start_flow(spec(i, j, cap)));
+                        live.push(sim.start_flow(spec(j, i, cap / 2.0)));
+                        if live.len() > 2 {
+                            sim.set_flow_cap(live[j % (live.len() - 2)], bps(cap / 3.0));
+                        }
+                    }),
+                    _ => {
+                        sim.run_until(sim.now() + SimDuration::from_millis(ms));
+                        live.retain(|&id| sim.flow_rate(id).is_some());
+                    }
+                }
+            }
+            prop_assert!(sim.verify_allocation().is_ok());
+            while sim.next_event().is_some() {}
+            let s = sim.stats();
+            prop_assert_eq!(
+                s.transitions_certified,
+                s.incremental_solves + s.uncongested_solves
+            );
+        }
     }
 }

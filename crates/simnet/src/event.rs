@@ -1,6 +1,8 @@
 //! A time-ordered event queue with stable FIFO tie-breaking and keyed
 //! entries that can be replaced or withdrawn in place.
 
+use std::marker::PhantomData;
+
 use crate::time::SimTime;
 
 /// Index slot of unkeyed entries: a sink the sifts write like any other
@@ -10,16 +12,29 @@ const NO_KEY: usize = 0;
 /// Position-index value of a key with nothing pending.
 const ABSENT: usize = usize::MAX;
 
-/// A pending event: payload `T` scheduled at a [`SimTime`].
+/// How a queue reads the key an entry is filed under from its payload.
+pub trait KeyOf<T> {
+    /// The key `payload` is filed under, if any.
+    fn key_of(payload: &T) -> Option<usize>;
+}
+
+/// The key reader of a queue whose entries are never keyed.
+impl<T> KeyOf<T> for () {
+    fn key_of(_: &T) -> Option<usize> {
+        None
+    }
+}
+
+/// A pending event: payload `T` scheduled at a [`SimTime`]. Its key is
+/// read from the payload, so an entry is no larger than its payload
+/// plus the two ordering words.
 ///
 /// Events at equal times pop in insertion order (`seq`), which keeps the
 /// simulation deterministic regardless of heap internals.
 #[derive(Debug, Clone, Copy)]
-struct Entry<T> {
+pub(crate) struct Entry<T> {
     time: SimTime,
     seq: u64,
-    /// Slot in the key index: `NO_KEY`, or key + 1.
-    key: usize,
     payload: T,
 }
 
@@ -33,16 +48,22 @@ impl<T> Entry<T> {
     fn before(&self, other: &Self) -> bool {
         self.rank() < other.rank()
     }
+
+    /// Slot in the key index: `NO_KEY`, or key + 1.
+    fn slot<K: KeyOf<T>>(&self) -> usize {
+        K::key_of(&self.payload).map_or(NO_KEY, |k| k + 1)
+    }
 }
 
 /// A min-queue of `(SimTime, T)` events with stable ordering for ties.
 ///
-/// Inside the crate an entry can also be filed under a key (a flow's slab
-/// slot): at most one entry per key is pending, a keyed push replaces it
-/// and `remove_key` withdraws it. Keyed and unkeyed entries share one
-/// heap and one insertion counter, so ties between them pop in push
-/// order either way. Payloads are `Copy`: the heap moves entries by
-/// value.
+/// A queue can also file entries under a key its [`KeyOf`] reader takes
+/// from the payload (the engine keys a flow's completion on its slab
+/// slot): at most one entry per key is pending, pushing a keyed payload
+/// replaces it and, inside the crate, `remove_key` withdraws it. Keyed
+/// and unkeyed entries share one heap and one insertion counter, so ties
+/// between them pop in push order either way. Payloads are `Copy`: the
+/// heap moves entries by value.
 ///
 /// ```
 /// use datagrid_simnet::event::EventQueue;
@@ -54,73 +75,58 @@ impl<T> Entry<T> {
 /// assert_eq!(q.pop(), Some((SimTime::from_nanos(10), "early")));
 /// ```
 #[derive(Debug, Clone)]
-pub struct EventQueue<T> {
+pub struct EventQueue<T, K = ()> {
     /// Binary min-heap on `(time, seq)`.
     heap: Vec<Entry<T>>,
     /// Key slot -> heap index of its pending entry, or `ABSENT`; slot
     /// `NO_KEY` is the unkeyed sink.
     pos: Vec<usize>,
     next_seq: u64,
+    keys: PhantomData<K>,
 }
 
-impl<T> Default for EventQueue<T> {
+impl<T, K> Default for EventQueue<T, K> {
     fn default() -> Self {
         EventQueue {
             heap: Vec::new(),
             pos: vec![ABSENT],
             next_seq: 0,
+            keys: PhantomData,
         }
     }
 }
 
 impl<T: Copy> EventQueue<T> {
-    /// Creates an empty queue.
+    /// Creates an empty queue of unkeyed entries.
     pub fn new() -> Self {
         EventQueue::default()
     }
+}
 
+impl<T: Copy, K: KeyOf<T>> EventQueue<T, K> {
     fn take_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         seq
     }
 
-    /// Schedules `payload` at `time`.
+    /// Schedules `payload` at `time`. A keyed payload becomes the one
+    /// entry pending under its key, replacing any entry already there;
+    /// either way the entry ties after everything pushed before it.
     pub fn push(&mut self, time: SimTime, payload: T) {
         let seq = self.take_seq();
-        self.insert(Entry {
-            time,
-            seq,
-            key: NO_KEY,
-            payload,
-        });
-    }
-
-    /// Schedules `payload` at `time` as the one pending entry under `key`,
-    /// replacing any entry already pending there. The entry is ordered
-    /// exactly as a fresh [`EventQueue::push`] would be: it ties after
-    /// everything pushed before it.
-    pub(crate) fn push_keyed(&mut self, key: usize, time: SimTime, payload: T) {
-        let slot = key + 1;
-        let seq = self.take_seq();
+        let e = Entry { time, seq, payload };
+        let slot = e.slot::<K>();
         match self.pos.get(slot) {
-            Some(&i) if i != ABSENT => {
-                let e = &mut self.heap[i];
-                e.time = time;
-                e.seq = seq;
-                e.payload = payload;
+            Some(&i) if slot != NO_KEY && i != ABSENT => {
+                self.heap[i] = e;
                 self.restore(i);
             }
             _ => {
                 if slot >= self.pos.len() {
                     self.pos.resize(slot + 1, ABSENT);
                 }
-                self.insert(Entry {
-                    time,
-                    seq,
-                    key: slot,
-                    payload,
-                });
+                self.insert(e);
             }
         }
     }
@@ -169,19 +175,19 @@ impl<T: Copy> EventQueue<T> {
             let mut child = 1;
             while child + 1 < n {
                 child += usize::from(heap[child + 1].before(&heap[child]));
-                place(heap, pos, i, heap[child]);
+                place::<T, K>(heap, pos, i, heap[child]);
                 i = child;
                 child = 2 * i + 1;
             }
             if child + 1 == n {
-                place(heap, pos, i, heap[child]);
+                place::<T, K>(heap, pos, i, heap[child]);
                 i = child;
             }
             heap[i] = last;
-            sift_up(heap, pos, i);
+            sift_up::<T, K>(heap, pos, i);
             top
         };
-        self.pos[top.key] = ABSENT;
+        self.pos[top.slot::<K>()] = ABSENT;
         Some((top.time, top.payload))
     }
 
@@ -213,12 +219,12 @@ impl<T: Copy> EventQueue<T> {
     fn insert(&mut self, entry: Entry<T>) {
         self.heap.push(entry);
         let last = self.heap.len() - 1;
-        sift_up(&mut self.heap, &mut self.pos, last);
+        sift_up::<T, K>(&mut self.heap, &mut self.pos, last);
     }
 
     fn remove_at(&mut self, i: usize) -> Entry<T> {
         let e = self.heap.swap_remove(i);
-        self.pos[e.key] = ABSENT;
+        self.pos[e.slot::<K>()] = ABSENT;
         if i < self.heap.len() {
             self.restore(i);
         }
@@ -227,37 +233,37 @@ impl<T: Copy> EventQueue<T> {
 
     /// Re-establishes heap order after the entry at `i` changed.
     fn restore(&mut self, i: usize) {
-        if sift_up(&mut self.heap, &mut self.pos, i) == i {
-            sift_down(&mut self.heap, &mut self.pos, i);
+        if sift_up::<T, K>(&mut self.heap, &mut self.pos, i) == i {
+            sift_down::<T, K>(&mut self.heap, &mut self.pos, i);
         }
     }
 }
 
 /// Writes `e` to heap position `i` and records it in the key index.
-fn place<T>(heap: &mut [Entry<T>], pos: &mut [usize], i: usize, e: Entry<T>) {
-    pos[e.key] = i;
+fn place<T, K: KeyOf<T>>(heap: &mut [Entry<T>], pos: &mut [usize], i: usize, e: Entry<T>) {
+    pos[e.slot::<K>()] = i;
     heap[i] = e;
 }
 
 /// Moves the entry at `i` toward the root, shifting the entries it
 /// passes down one level; returns where it settled.
-fn sift_up<T: Copy>(heap: &mut [Entry<T>], pos: &mut [usize], mut i: usize) -> usize {
+fn sift_up<T: Copy, K: KeyOf<T>>(heap: &mut [Entry<T>], pos: &mut [usize], mut i: usize) -> usize {
     let moving = heap[i];
     while i > 0 {
         let parent = (i - 1) / 2;
         if !moving.before(&heap[parent]) {
             break;
         }
-        place(heap, pos, i, heap[parent]);
+        place::<T, K>(heap, pos, i, heap[parent]);
         i = parent;
     }
-    place(heap, pos, i, moving);
+    place::<T, K>(heap, pos, i, moving);
     i
 }
 
 /// Moves the entry at `i` toward the leaves, shifting the earlier child
 /// up at each level it passes.
-fn sift_down<T: Copy>(heap: &mut [Entry<T>], pos: &mut [usize], mut i: usize) {
+fn sift_down<T: Copy, K: KeyOf<T>>(heap: &mut [Entry<T>], pos: &mut [usize], mut i: usize) {
     let moving = heap[i];
     let n = heap.len();
     loop {
@@ -269,10 +275,10 @@ fn sift_down<T: Copy>(heap: &mut [Entry<T>], pos: &mut [usize], mut i: usize) {
         if !heap[child].before(&moving) {
             break;
         }
-        place(heap, pos, i, heap[child]);
+        place::<T, K>(heap, pos, i, heap[child]);
         i = child;
     }
-    place(heap, pos, i, moving);
+    place::<T, K>(heap, pos, i, moving);
 }
 
 #[cfg(test)]
@@ -283,9 +289,20 @@ mod tests {
         SimTime::from_nanos(n)
     }
 
-    fn drain<T: Copy>(q: &mut EventQueue<T>) -> Vec<(SimTime, T)> {
+    fn drain<T: Copy, K: KeyOf<T>>(q: &mut EventQueue<T, K>) -> Vec<(SimTime, T)> {
         std::iter::from_fn(|| q.pop()).collect()
     }
+
+    /// Test payloads `(key, value)`, filed under `key` when it is set.
+    struct FirstField;
+
+    impl<V> KeyOf<(Option<usize>, V)> for FirstField {
+        fn key_of(payload: &(Option<usize>, V)) -> Option<usize> {
+            payload.0
+        }
+    }
+
+    type Keyed<V> = EventQueue<(Option<usize>, V), FirstField>;
 
     #[test]
     fn pops_in_time_order() {
@@ -336,16 +353,20 @@ mod tests {
 
     #[test]
     fn keyed_push_replaces_and_takes_a_fresh_tie_position() {
-        let mut q = EventQueue::new();
-        q.push_keyed(0, t(5), "k0 first");
-        q.push(t(5), "plain");
+        let mut q = Keyed::default();
+        q.push(t(5), (Some(0), "k0 first"));
+        q.push(t(5), (None, "plain"));
         // Same instant, re-pushed: it now ties after "plain".
-        q.push_keyed(0, t(5), "k0 again");
-        q.push_keyed(1, t(9), "k1 late");
-        q.push_keyed(1, t(1), "k1 early");
+        q.push(t(5), (Some(0), "k0 again"));
+        q.push(t(9), (Some(1), "k1 late"));
+        q.push(t(1), (Some(1), "k1 early"));
         assert_eq!(q.len(), 3);
+        let order: Vec<_> = drain(&mut q)
+            .into_iter()
+            .map(|(at, (_, v))| (at, v))
+            .collect();
         assert_eq!(
-            drain(&mut q),
+            order,
             vec![(t(1), "k1 early"), (t(5), "plain"), (t(5), "k0 again")]
         );
         assert!(!q.contains_key(0) && !q.contains_key(1));
@@ -353,16 +374,16 @@ mod tests {
 
     #[test]
     fn remove_key_withdraws_only_that_entry() {
-        let mut q = EventQueue::new();
+        let mut q = Keyed::default();
         for k in 0..8 {
-            q.push_keyed(k, t(10 + k as u64), k);
+            q.push(t(10 + k as u64), (Some(k), k));
         }
-        q.push(t(12), 100);
-        assert_eq!(q.remove_key(3), Some((t(13), 3)));
+        q.push(t(12), (None, 100));
+        assert_eq!(q.remove_key(3), Some((t(13), (Some(3), 3))));
         assert_eq!(q.remove_key(3), None);
         assert_eq!(q.remove_key(99), None);
         assert!(!q.contains_key(3) && q.contains_key(4));
-        let order: Vec<usize> = drain(&mut q).into_iter().map(|(_, v)| v).collect();
+        let order: Vec<usize> = drain(&mut q).into_iter().map(|(_, (_, v))| v).collect();
         assert_eq!(order, vec![0, 1, 2, 100, 4, 5, 6, 7]);
     }
 
@@ -372,7 +393,7 @@ mod tests {
         // a keyed entry is live while its generation is the key's latest.
         // Popping the keyed queue must yield exactly the reference's live
         // entries in (time, seq) order.
-        let mut q = EventQueue::new();
+        let mut q = Keyed::default();
         let mut reference: Vec<(u64, u64, Option<usize>, u64)> = Vec::new();
         let mut generation = [0u64; 16];
         let mut live = [false; 16];
@@ -420,7 +441,7 @@ mod tests {
                 _ => {
                     generation[key] += 1;
                     live[key] = true;
-                    q.push_keyed(key, t(time), (Some(key), seq));
+                    q.push(t(time), (Some(key), seq));
                     reference.push((time, seq, Some(key), generation[key]));
                 }
             }
@@ -443,15 +464,18 @@ mod tests {
 
     #[test]
     fn shrink_key_index_keeps_pending_keys() {
-        let mut q = EventQueue::new();
-        q.push_keyed(2, t(1), 'a');
-        q.push_keyed(500, t(2), 'b');
+        let mut q = Keyed::default();
+        q.push(t(1), (Some(2), 'a'));
+        q.push(t(2), (Some(500), 'b'));
         q.remove_key(500);
         q.shrink_key_index();
         assert_eq!(q.pos.len(), 4, "sink slot plus keys 0..=2");
         assert!(q.pos.capacity() < 500);
         assert!(q.contains_key(2));
-        q.push_keyed(700, t(0), 'c');
-        assert_eq!(drain(&mut q), vec![(t(0), 'c'), (t(1), 'a')]);
+        q.push(t(0), (Some(700), 'c'));
+        assert_eq!(
+            drain(&mut q),
+            vec![(t(0), (Some(700), 'c')), (t(1), (Some(2), 'a'))]
+        );
     }
 }

@@ -341,6 +341,7 @@ pub struct Pair {
 const BATCHING_COUNTERS: &[&str] = &[
     "simnet.incremental_solves",
     "simnet.full_solves",
+    "simnet.uncongested_solves",
     "simnet.solver_flows_touched",
     "simnet.solver_classes_touched",
     "simnet.event_cohorts",

@@ -120,6 +120,8 @@ pub struct GridScaleCell {
     pub incremental_solves: u64,
     /// Whole-grid rate solves performed by the engine.
     pub full_solves: u64,
+    /// Component solves resolved without a fill: no link could saturate.
+    pub uncongested_solves: u64,
     /// Total flows handed to the solver across all solves.
     pub solver_flows_touched: u64,
     /// Same-instant event cohorts the engine processed.
@@ -220,6 +222,11 @@ impl GridScaleReport {
                 c.incremental_solves
             );
             let _ = writeln!(out, "      \"full_solves\": {},", c.full_solves);
+            let _ = writeln!(
+                out,
+                "      \"uncongested_solves\": {},",
+                c.uncongested_solves
+            );
             let _ = writeln!(
                 out,
                 "      \"solver_flows_touched\": {},",
@@ -407,6 +414,7 @@ pub fn run_grid_scale_cell(seed: u64, clients: usize, cfg: &GridScaleConfig) -> 
         p99_s: percentile(&latencies, 0.99),
         incremental_solves: stats.incremental_solves,
         full_solves: stats.full_solves,
+        uncongested_solves: stats.uncongested_solves,
         solver_flows_touched: stats.solver_flows_touched,
         event_cohorts: stats.event_cohorts,
         batched_solves: stats.batched_solves,

@@ -198,8 +198,9 @@ fn background_churn_batches_per_arrival_solves() {
         batched.cell.solves_avoided > 0,
         "churn workload produced no same-instant cohorts to batch"
     );
-    let solves =
-        |c: &datagrid::testbed::gridscale::GridScaleCell| c.incremental_solves + c.full_solves;
+    let solves = |c: &datagrid::testbed::gridscale::GridScaleCell| {
+        c.incremental_solves + c.full_solves + c.uncongested_solves
+    };
     assert!(
         solves(&batched.cell) < solves(&per_event.cell),
         "batching must strictly reduce solver passes: {} vs {}",

@@ -118,7 +118,8 @@ proptest! {
             prop_assert_eq!(fields(&ra.obs.metrics_json), fields(&rb.obs.metrics_json));
             for json in [&ra.obs.metrics_json, &rb.obs.metrics_json] {
                 let solves = counter(json, "simnet.incremental_solves")
-                    + counter(json, "simnet.full_solves");
+                    + counter(json, "simnet.full_solves")
+                    + counter(json, "simnet.uncongested_solves");
                 let certified = counter(json, "simnet.transitions_certified");
                 // Validation (and with it certification) defaults on in
                 // debug builds; a release run certifies all or nothing.
