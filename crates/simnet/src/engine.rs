@@ -9,10 +9,11 @@
 //! Rates follow the fluid max-min model from [`crate::flow`]. The engine is
 //! built to scale to tens of thousands of concurrent flows:
 //!
-//! * **Per-link flow indexes.** Every link knows the flows crossing it and
-//!   every flow caches its route's link set (shared with the routing table
-//!   via `Arc`), so "who shares a link with whom" is an index lookup, not a
-//!   scan.
+//! * **Per-link class indexes.** Flows with one route and one cap form a
+//!   class; every link knows the classes crossing it, every class lists its
+//!   members, and every flow caches its route's link set (shared with the
+//!   routing table via `Arc`), so "who shares a link with whom" is an index
+//!   lookup, not a scan, and a component walk visits classes, not flows.
 //! * **Incremental re-solves.** An arrival, completion, abort, cap change or
 //!   fault transition re-solves only the connected component of the
 //!   flow/link graph it perturbs (see [`SolverMode`]). Max-min fairness
@@ -29,7 +30,6 @@
 //!   buffers are owned scratch, reused across events.
 
 use std::cell::RefCell;
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, DefaultHasher};
 use std::sync::Arc;
@@ -218,7 +218,8 @@ pub struct FlowProgress {
     /// Bytes still outstanding.
     pub bytes_remaining: f64,
     /// Last solved rate (inside a [`NetSim::batched`] scope, the rate
-    /// before the scope's deferred solve).
+    /// before the scope's deferred solve: zero for a flow started in the
+    /// scope). An uncapped node-local flow reads 1e15 bps.
     pub rate: Bandwidth,
 }
 
@@ -258,6 +259,10 @@ struct FlowState {
     last_update: SimTime,
     tag: FlowTag,
     token: u64,
+    /// Started through [`NetSim::start_flow`], so `id_slots` maps its id;
+    /// the engine's own background arrivals are never named by a caller
+    /// and have no entry.
+    keyed: bool,
 }
 
 /// Queue payloads. A `Completion` is filed under its flow's slot (see
@@ -294,59 +299,140 @@ struct FaultRecord {
 /// cap's bit pattern.
 type ClassKey = (NodeId, NodeId, u64);
 
-/// Interned flow classes. Flows with the same endpoints (hence the same
-/// route) and the same cap always receive the same max-min rate, so the
-/// progressive fill runs once per class, weighted by its member count.
+/// End of a member list.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Interned flow classes and the per-link class index. Flows with the
+/// same endpoints (hence the same route) and the same cap always receive
+/// the same max-min rate, so the progressive fill runs once per class,
+/// weighted by its member count, and the component walk reaches a class
+/// (all of its members at once) through the links of its route.
 ///
 /// Keyed on the node pair, not on the route `Arc`'s address, so class
-/// identity never depends on the allocator. Entries are reference-counted:
+/// identity never depends on the allocator. Classes are reference-counted:
 /// the last member leaving releases its class, and released ids are reused
 /// before the table grows, so the table holds only live classes.
 #[derive(Debug, Clone, Default)]
 struct FlowClasses {
-    /// Key -> (class id, live members). Looked up only, never iterated.
-    /// Fixed hash keys, as in `NetSim::id_slots`: with a per-process
-    /// random seed the table's capacity after churn, and with it
+    /// Key -> class id. Looked up only, never iterated. Fixed hash keys,
+    /// as in `NetSim::id_slots`: with a per-process random seed the
+    /// table's capacity after churn, and with it
     /// [`NetSim::scratch_footprint`], would differ from one process to
     /// the next.
-    ids: HashMap<ClassKey, (u32, u32), BuildHasherDefault<DefaultHasher>>,
+    ids: HashMap<ClassKey, u32, BuildHasherDefault<DefaultHasher>>,
     /// Released ids, reused before new ones are minted.
     free: Vec<u32>,
-    /// Exclusive upper bound of the ids minted so far.
-    bound: u32,
+    /// Per class id: its live members (0 once released). Its length is
+    /// the exclusive bound of the ids minted so far.
+    members: Vec<u32>,
+    /// Per class id: its first member's slot.
+    head: Vec<u32>,
+    /// Per flow slot: the next and previous member of its class, in a
+    /// circular list (the head's `prev` is the last member).
+    next: Vec<u32>,
+    prev: Vec<u32>,
+    /// Per link: the live classes whose route crosses it.
+    link_classes: Vec<Vec<u32>>,
 }
 
 impl FlowClasses {
-    /// Adds a member to the class of `(src, dst, cap_bps)`, interning it
-    /// on first use; returns the class id.
-    fn join(&mut self, src: NodeId, dst: NodeId, cap_bps: f64) -> u32 {
-        let FlowClasses { ids, free, bound } = self;
-        let (id, members) = ids.entry((src, dst, cap_bps.to_bits())).or_insert_with(|| {
-            let id = free.pop().unwrap_or(*bound);
-            if id == *bound {
-                *bound = bound.checked_add(1).expect("too many flow classes");
+    /// Adds flow `f`, in `slot`, to the class of its endpoints and cap as
+    /// its last member, interning the class on first use; returns the
+    /// class id.
+    fn join(&mut self, f: &FlowState, slot: u32) -> u32 {
+        let FlowClasses {
+            ids,
+            free,
+            members,
+            head,
+            ..
+        } = self;
+        let class = *ids
+            .entry((f.src, f.dst, f.cap_bps.to_bits()))
+            .or_insert_with(|| {
+                free.pop().unwrap_or_else(|| {
+                    let id = u32::try_from(members.len()).expect("too many flow classes");
+                    members.push(0);
+                    head.push(NO_SLOT);
+                    id
+                })
+            });
+        let c = class as usize;
+        let s = slot as usize;
+        if self.members[c] == 0 {
+            self.head[c] = slot;
+            self.prev[s] = slot;
+            for &l in f.route.iter() {
+                self.link_classes[l.index()].push(class);
             }
-            (id, 0)
-        });
-        *members += 1;
-        *id
+        }
+        // Splice in between the last member and the first.
+        let first = self.head[c];
+        let last = self.prev[first as usize];
+        (self.next[s], self.prev[s]) = (first, last);
+        self.next[last as usize] = slot;
+        self.prev[first as usize] = slot;
+        self.members[c] += 1;
+        class
     }
 
-    /// Removes a member from the class of `(src, dst, cap_bps)`,
-    /// releasing the class when its last member leaves.
-    fn leave(&mut self, src: NodeId, dst: NodeId, cap_bps: f64) {
-        let Entry::Occupied(mut class) = self.ids.entry((src, dst, cap_bps.to_bits())) else {
-            unreachable!("a live flow's class is interned");
-        };
-        class.get_mut().1 -= 1;
-        if class.get().1 == 0 {
-            self.free.push(class.remove().0);
+    /// Removes the flow in `slot` from its class, releasing the class
+    /// (from the table and from its route's links) when its last member
+    /// leaves.
+    fn leave(&mut self, f: &FlowState, slot: u32) {
+        let c = f.class as usize;
+        let s = slot as usize;
+        self.members[c] -= 1;
+        if self.members[c] == 0 {
+            self.ids.remove(&(f.src, f.dst, f.cap_bps.to_bits()));
+            self.free.push(f.class);
+            for &l in f.route.iter() {
+                let on_link = &mut self.link_classes[l.index()];
+                let pos = on_link
+                    .iter()
+                    .position(|&k| k == f.class)
+                    .expect("class indexed on its route links");
+                on_link.swap_remove(pos);
+            }
+            self.head[c] = NO_SLOT;
+            return;
         }
+        let (next, prev) = (self.next[s], self.prev[s]);
+        self.next[prev as usize] = next;
+        self.prev[next as usize] = prev;
+        if self.head[c] == slot {
+            self.head[c] = next;
+        }
+    }
+
+    /// Sizes the member links for a slab of `slots` slots.
+    fn reserve_slots(&mut self, slots: usize) {
+        self.next.resize(slots, NO_SLOT);
+        self.prev.resize(slots, NO_SLOT);
+    }
+
+    /// The live members of class `c`, first to last.
+    fn members(&self, c: u32) -> impl Iterator<Item = u32> + Clone + '_ {
+        let head = self.head[c as usize];
+        let mut at = (head != NO_SLOT).then_some(head);
+        std::iter::from_fn(move || {
+            let s = at?;
+            let next = self.next[s as usize];
+            at = (next != head).then_some(next);
+            Some(s)
+        })
+    }
+
+    /// Class `c`'s first member, which supplies the class's route and cap.
+    fn first<'f>(&self, c: u32, flows: &'f [Option<FlowState>]) -> &'f FlowState {
+        flows[self.head[c as usize] as usize]
+            .as_ref()
+            .expect("a live class has a live first member")
     }
 
     /// Exclusive upper bound of the class ids in use.
     fn id_bound(&self) -> usize {
-        self.bound as usize
+        self.members.len()
     }
 
     /// Live classes.
@@ -356,56 +442,66 @@ impl FlowClasses {
     }
 
     fn footprint(&self) -> usize {
-        self.ids.capacity() + self.free.capacity()
+        self.ids.capacity()
+            + self.free.capacity()
+            + self.members.capacity()
+            + self.head.capacity()
+            + self.next.capacity()
+            + self.prev.capacity()
+            + self.link_classes.iter().map(Vec::capacity).sum::<usize>()
     }
 
-    /// Retires trailing released ids and releases spare capacity; live
-    /// ids never change.
-    fn shrink(&mut self) {
-        self.free.sort_unstable();
-        while self.bound > 0 && self.free.last() == Some(&(self.bound - 1)) {
-            self.free.pop();
-            self.bound -= 1;
+    /// Retires trailing released ids, trims the member links to `slots`
+    /// slots and releases spare capacity; live ids never change.
+    fn shrink(&mut self, slots: usize) {
+        while self.members.last() == Some(&0) {
+            self.members.pop();
         }
+        let bound = self.members.len();
+        self.free.retain(|&id| (id as usize) < bound);
+        self.free.sort_unstable();
+        self.head.truncate(bound);
+        self.next.truncate(slots);
+        self.prev.truncate(slots);
         self.ids.shrink_to_fit();
         self.free.shrink_to_fit();
+        self.members.shrink_to_fit();
+        self.head.shrink_to_fit();
+        self.next.shrink_to_fit();
+        self.prev.shrink_to_fit();
+        for on_link in &mut self.link_classes {
+            on_link.shrink_to_fit();
+        }
     }
 }
 
-/// Reusable scratch for walking a connected component of the flow/link
+/// Reusable scratch for walking a connected component of the class/link
 /// graph. Stamped mark arrays (generation counters) make `begin` O(1)
-/// instead of clearing marks for every flow slot and link.
+/// instead of clearing marks for every class and link.
 #[derive(Debug, Clone, Default)]
 struct CompScratch {
-    flow_stamp: Vec<u64>,
+    class_stamp: Vec<u64>,
     link_stamp: Vec<u64>,
     stamp: u64,
-    /// Flow slots in the component, in discovery order.
-    flows: Vec<u32>,
+    /// Classes in the component, in discovery order: the fill's entries.
+    classes: Vec<u32>,
     /// Global link indices in the component, in discovery order.
     links: Vec<u32>,
-    /// Class id -> its fill entry; valid only where `entry_class`
-    /// points back (a sparse set, so grouping needs no clearing).
-    class_entry: Vec<u32>,
-    /// Per fill entry: its class id.
-    entry_class: Vec<u32>,
-    /// Per fill entry: the slot of its first member, which supplies the
-    /// entry's route and cap.
-    entry_slot: Vec<u32>,
-    /// Per fill entry: its members in the component.
-    entry_weight: Vec<u32>,
+    /// Full-mode solves only: every live slot, in slot order.
+    slots: Vec<u32>,
+    /// The classes and links the last `expand` started from.
+    #[cfg(test)]
+    seeds: (Vec<u32>, Vec<u32>),
 }
 
 impl CompScratch {
-    /// Starts a new component walk over `flow_slots` slots and `links`
+    /// Starts a new component walk over `classes` class ids and `links`
     /// links.
-    fn begin(&mut self, flow_slots: usize, links: usize) {
+    fn begin(&mut self, classes: usize, links: usize) {
         self.stamp += 1;
-        self.flows.clear();
+        self.classes.clear();
         self.links.clear();
-        if self.flow_stamp.len() < flow_slots {
-            self.flow_stamp.resize(flow_slots, 0);
-        }
+        self.ensure_classes(classes);
         if self.link_stamp.len() < links {
             self.link_stamp.resize(links, 0);
         }
@@ -420,133 +516,100 @@ impl CompScratch {
         }
     }
 
-    /// Grows the flow stamp array to cover `flow_slots` slots without
-    /// starting a new walk — used when the slab grows mid-cohort (an
-    /// arrival deferred into an already-open batch).
-    fn ensure_flows(&mut self, flow_slots: usize) {
-        if self.flow_stamp.len() < flow_slots {
-            self.flow_stamp.resize(flow_slots, 0);
+    /// Grows the class stamp array to cover `classes` ids without
+    /// starting a new walk — used when a class is minted mid-cohort (an
+    /// arrival or re-cap deferred into an already-open batch).
+    fn ensure_classes(&mut self, classes: usize) {
+        if self.class_stamp.len() < classes {
+            self.class_stamp.resize(classes, 0);
         }
     }
 
-    /// Seeds the walk with a flow slot (deduplicated); the flow's route
-    /// links join the frontier.
-    fn add_flow(&mut self, slot: u32, flows: &[Option<FlowState>]) {
-        let s = slot as usize;
-        if self.flow_stamp[s] == self.stamp {
+    /// Seeds the walk with class `c` (deduplicated); its route links join
+    /// the frontier.
+    fn add_class(&mut self, c: u32, classes: &FlowClasses, flows: &[Option<FlowState>]) {
+        let i = c as usize;
+        if self.class_stamp[i] == self.stamp {
             return;
         }
-        self.flow_stamp[s] = self.stamp;
-        self.flows.push(slot);
-        let f = flows[s].as_ref().expect("indexed flow is live");
-        for &l in f.route.iter() {
+        self.class_stamp[i] = self.stamp;
+        self.classes.push(c);
+        for &l in classes.first(c, flows).route.iter() {
             self.add_link(l);
         }
+    }
+
+    /// Whether the last walk reached class `c`: every member of a reached
+    /// class is in the component.
+    fn reached(&self, c: u32) -> bool {
+        self.class_stamp.get(c as usize) == Some(&self.stamp)
+    }
+
+    /// Live flows in the walked component.
+    fn member_count(&self, classes: &FlowClasses) -> usize {
+        self.classes
+            .iter()
+            .map(|&c| classes.members[c as usize] as usize)
+            .sum()
     }
 
     /// Element capacity currently pinned by the stamp arrays and
     /// worklists.
     fn footprint(&self) -> usize {
-        self.flow_stamp.capacity()
+        self.class_stamp.capacity()
             + self.link_stamp.capacity()
-            + self.flows.capacity()
+            + self.classes.capacity()
             + self.links.capacity()
-            + self.class_entry.capacity()
-            + self.entry_class.capacity()
-            + self.entry_slot.capacity()
-            + self.entry_weight.capacity()
+            + self.slots.capacity()
     }
 
-    /// Trims the stamp arrays to the current `flow_slots`/`links` extents
+    /// Trims the stamp arrays to the current `classes`/`links` extents
     /// and releases the worklists. The stamp counter is preserved, so
-    /// marks for retained slots stay valid; `begin` regrows everything on
+    /// marks for retained ids stay valid; `begin` regrows everything on
     /// demand.
-    fn shrink(&mut self, flow_slots: usize, links: usize) {
-        self.flow_stamp.truncate(flow_slots);
-        self.flow_stamp.shrink_to_fit();
+    fn shrink(&mut self, classes: usize, links: usize) {
+        self.class_stamp.truncate(classes);
+        self.class_stamp.shrink_to_fit();
         self.link_stamp.truncate(links);
         self.link_stamp.shrink_to_fit();
-        self.flows = Vec::new();
+        self.classes = Vec::new();
         self.links = Vec::new();
-        self.class_entry = Vec::new();
-        self.entry_class = Vec::new();
-        self.entry_slot = Vec::new();
-        self.entry_weight = Vec::new();
+        self.slots = Vec::new();
     }
 
-    /// Groups the component's flows by class, numbering one fill entry
-    /// per class in first-member order and weighting it by its members.
-    /// O(flows) array work, no hashing. `classes` bounds the class ids.
-    fn group_classes(&mut self, flows: &[Option<FlowState>], classes: usize) {
-        if self.class_entry.len() < classes {
-            self.class_entry.resize(classes, 0);
-        }
-        self.entry_class.clear();
-        self.entry_slot.clear();
-        self.entry_weight.clear();
-        for &slot in &self.flows {
-            let class = flows[slot as usize]
-                .as_ref()
-                .expect("component flow is live")
-                .class;
-            let e = self.class_entry[class as usize] as usize;
-            if e < self.entry_class.len() && self.entry_class[e] == class {
-                self.entry_weight[e] += 1;
-            } else {
-                self.class_entry[class as usize] =
-                    u32::try_from(self.entry_class.len()).expect("entries fit the slot space");
-                self.entry_class.push(class);
-                self.entry_slot.push(slot);
-                self.entry_weight.push(1);
-            }
-        }
-    }
-
-    /// The flow standing for fill entry `e` of the last grouping.
-    fn entry_flow<'f>(&self, flows: &'f [Option<FlowState>], e: usize) -> &'f FlowState {
-        flows[self.entry_slot[e] as usize]
-            .as_ref()
-            .expect("component flow is live")
-    }
-
-    /// Groups the walked component by class and runs the fill over it;
-    /// `take_member_rate` of [`CompScratch::entry_of`] then reads each
-    /// member's rate, in component order.
+    /// Runs the fill over the walked component, one entry per class in
+    /// discovery order, weighted by its members; `take_member_rate` of
+    /// the entry's index then reads each member's rate, first to last.
     fn fill(
-        &mut self,
+        &self,
         solver: &mut MaxMinSolver,
+        classes: &FlowClasses,
         flows: &[Option<FlowState>],
-        classes: usize,
         link_caps: &[f64],
     ) {
-        self.group_classes(flows, classes);
-        let comp = &*self;
         solver.solve_with(
-            comp.entry_slot.len(),
-            |e| comp.entry_flow(flows, e).route.as_ref(),
-            |e| comp.entry_flow(flows, e).cap_bps,
-            |e| comp.entry_weight[e] as usize,
-            &comp.links,
+            self.classes.len(),
+            |e| classes.first(self.classes[e], flows).route.as_ref(),
+            |e| classes.first(self.classes[e], flows).cap_bps,
+            |e| classes.members[self.classes[e] as usize] as usize,
+            &self.links,
             link_caps,
         );
     }
 
-    /// The fill entry of component member `f` in the last grouping.
-    fn entry_of(&self, f: &FlowState) -> usize {
-        self.class_entry[f.class as usize] as usize
-    }
-
-    /// Breadth-first closure: every flow crossing a reached link is added,
-    /// and its route links extend the frontier, until fixpoint.
-    fn expand(&mut self, flows: &[Option<FlowState>], link_flows: &[Vec<u32>]) {
+    /// Breadth-first closure: every class crossing a reached link is
+    /// added, and its route links extend the frontier, until fixpoint.
+    fn expand(&mut self, classes: &FlowClasses, flows: &[Option<FlowState>]) {
+        #[cfg(test)]
+        {
+            self.seeds = (self.classes.clone(), self.links.clone());
+        }
         let mut head = 0;
         while head < self.links.len() {
             let l = self.links[head] as usize;
             head += 1;
-            let mut i = 0;
-            while i < link_flows[l].len() {
-                self.add_flow(link_flows[l][i], flows);
-                i += 1;
+            for &c in &classes.link_classes[l] {
+                self.add_class(c, classes, flows);
             }
         }
     }
@@ -721,8 +784,6 @@ pub struct NetSim {
     /// resizes, and with it the engine's allocation count, differ from one
     /// process to the next.
     id_slots: HashMap<FlowId, u32, BuildHasherDefault<DefaultHasher>>,
-    /// Per-link index: slots of the flows crossing each link.
-    link_flows: Vec<Vec<u32>>,
     /// Per-link cap sums and tightness (see [`LinkLoad`]).
     link_loads: Vec<LinkLoad>,
     /// Links currently tight.
@@ -730,7 +791,8 @@ pub struct NetSim {
     /// Every live flow runs at exactly its cap: set after each fill to
     /// "no link is tight", cleared by a fault transition.
     all_at_caps: bool,
-    /// Live flows' (route, cap) classes.
+    /// Live flows' (route, cap) classes, their members and the per-link
+    /// class index.
     classes: FlowClasses,
     /// Live flows of any class.
     active_flows: usize,
@@ -785,7 +847,24 @@ pub struct NetSim {
     batch_deferred: u64,
 }
 
-/// A flow slot as the `u32` the per-link and component indexes store.
+/// Rate a node-local flow reads as when nothing caps it: the fill gives
+/// it an infinite rate, which no [`Bandwidth`] holds.
+const NODE_LOCAL_BPS: f64 = 1e15;
+
+/// A flow's solved rate as a [`Bandwidth`]: an infinite rate (an uncapped
+/// node-local flow) reads as [`NODE_LOCAL_BPS`], a rate not solved yet
+/// (a flow started inside an open [`NetSim::batched`] scope) as zero.
+fn reported_rate(bps: f64) -> Bandwidth {
+    if bps.is_nan() {
+        Bandwidth::ZERO
+    } else if bps.is_infinite() {
+        Bandwidth::from_bps(NODE_LOCAL_BPS)
+    } else {
+        Bandwidth::from_bps(bps)
+    }
+}
+
+/// A flow slot as the `u32` the member lists and component scratch store.
 /// Lossless: `start_flow` grows `flows` only through `u32::try_from`, so
 /// every slot (and the slot count) fits.
 #[expect(
@@ -819,11 +898,13 @@ impl NetSim {
             flows: Vec::new(),
             free_slots: Vec::new(),
             id_slots: HashMap::default(),
-            link_flows: vec![Vec::new(); link_count],
             link_loads: vec![LinkLoad::default(); link_count],
             tight_links: 0,
             all_at_caps: true,
-            classes: FlowClasses::default(),
+            classes: FlowClasses {
+                link_classes: vec![Vec::new(); link_count],
+                ..FlowClasses::default()
+            },
             active_flows: 0,
             public_flows: 0,
             queue: EventQueue::default(),
@@ -973,10 +1054,7 @@ impl NetSim {
     /// Returns the first [`Violation`] that falsifies the certificate.
     pub fn verify_allocation(&self) -> Result<Certificate, Violation> {
         self.debug_assert_solved();
-        let live: Vec<u32> = (0..slot_u32(self.flows.len()))
-            .filter(|&s| self.flows[s as usize].is_some())
-            .collect();
-        self.verify_scope(&live, &self.all_links)
+        self.verify_scope(self.flows.iter().flatten(), &self.all_links)
     }
 
     /// Corrupts a live flow's allocated rate in place, bypassing the
@@ -1034,7 +1112,11 @@ impl NetSim {
     /// stamp in `self.comp`.
     fn check_transition(&self, full_scope: bool) -> Result<TransitionCertificate, Violation> {
         let mut cert = TransitionCertificate {
-            component_flows: self.comp.flows.len(),
+            component_flows: if full_scope {
+                self.active_flows
+            } else {
+                self.comp.member_count(&self.classes)
+            },
             ..TransitionCertificate::default()
         };
         for &(slot, rate_bits, rem_bits, last_update) in &self.trans.entries {
@@ -1044,8 +1126,7 @@ impl NetSim {
             };
             let rate_before = f64::from_bits(rate_bits);
             let rem_before = f64::from_bits(rem_bits);
-            let in_scope =
-                full_scope || self.comp.flow_stamp.get(s).copied() == Some(self.comp.stamp);
+            let in_scope = full_scope || self.comp.reached(f.class);
             if !in_scope {
                 // Component confinement: bit-identical rate, bytes, clock.
                 if f.rate_bps.to_bits() != rate_bits {
@@ -1123,7 +1204,9 @@ impl NetSim {
             return;
         };
         let victim = (0..self.flows.len()).find(|&s| {
-            self.flows[s].is_some() && self.comp.flow_stamp.get(s).copied() != Some(self.comp.stamp)
+            self.flows[s]
+                .as_ref()
+                .is_some_and(|f| !self.comp.reached(f.class))
         });
         if let Some(s) = victim {
             self.inject_transition = None;
@@ -1132,21 +1215,20 @@ impl NetSim {
         }
     }
 
-    /// Checks the certificate over a scope of flow slots and the links
-    /// they can touch. The scope must be closed: every live flow crossing
-    /// a scoped link is itself scoped (the component walker and
-    /// `all_links` both guarantee this), otherwise peak shares would be
-    /// computed against stale rates.
-    fn verify_scope(&self, slots: &[u32], links: &[u32]) -> Result<Certificate, Violation> {
-        let mut cert = Certificate {
-            flows: slots.len(),
-            ..Certificate::default()
-        };
+    /// Checks the certificate over a scope of flows and the links they
+    /// can touch. The scope must be closed: every live flow crossing a
+    /// scoped link is itself scoped (the component walker and `all_links`
+    /// both guarantee this), otherwise peak shares would be computed
+    /// against stale rates.
+    fn verify_scope<'f>(
+        &'f self,
+        scope: impl Iterator<Item = &'f FlowState> + Clone,
+        links: &[u32],
+    ) -> Result<Certificate, Violation> {
+        let mut cert = Certificate::default();
         // Per-flow sanity: solved, feasible, within cap, bytes in range.
-        for &slot in slots {
-            let f = self.flows[slot as usize]
-                .as_ref()
-                .expect("verification scope holds a dead slot");
+        for f in scope.clone() {
+            cert.flows += 1;
             let rate = f.rate_bps;
             if rate.is_nan() {
                 return Err(Violation::UnsolvedRate { flow: f.id });
@@ -1183,13 +1265,10 @@ impl NetSim {
         let mut sat = vec![false; self.link_caps.len()];
         let mut peak = vec![0.0f64; self.link_caps.len()];
         for &l in links {
-            let crossing = &self.link_flows[l as usize];
+            let crossing = &self.classes.link_classes[l as usize];
             let mut used = 0.0f64;
             let mut top = 0.0f64;
-            for &slot in crossing {
-                let f = self.flows[slot as usize]
-                    .as_ref()
-                    .expect("per-link index holds a dead slot");
+            for f in self.class_members(crossing) {
                 if f.rate_bps.is_nan() {
                     // A stale crossing flow the solve missed: the
                     // component closure is broken.
@@ -1226,10 +1305,7 @@ impl NetSim {
         // saturated link on which no other flow gets a strictly larger
         // share — otherwise its rate could be raised without hurting a
         // smaller-or-equal flow, and the allocation is not max-min fair.
-        for &slot in slots {
-            let f = self.flows[slot as usize]
-                .as_ref()
-                .expect("verification scope holds a dead slot");
+        for f in scope {
             if f.rate_bps >= f.cap_bps * (1.0 - REL_TOL) - ABS_TOL_BPS {
                 cert.capped_flows += 1;
                 continue;
@@ -1249,15 +1325,35 @@ impl NetSim {
         Ok(cert)
     }
 
-    /// Debug/validate-mode hook: re-certify a freshly solved scope and
-    /// abort loudly on any falsification — a wrong allocation must never
-    /// settle a byte.
+    /// The live members of `classes`, class by class, first to last.
+    fn class_members<'f>(
+        &'f self,
+        classes: &'f [u32],
+    ) -> impl Iterator<Item = &'f FlowState> + Clone {
+        classes.iter().flat_map(move |&c| {
+            self.classes.members(c).map(move |s| {
+                self.flows[s as usize]
+                    .as_ref()
+                    .expect("class member is live")
+            })
+        })
+    }
+
+    /// Debug/validate-mode hook: re-certify a freshly solved scope — every
+    /// live flow with `full_scope`, else every member of each class the
+    /// walk in `self.comp` reached — and abort loudly on any
+    /// falsification: a wrong allocation must never settle a byte.
     ///
     /// # Panics
     ///
     /// Panics if the certificate does not hold.
-    fn enforce_certificate(&self, slots: &[u32], links: &[u32]) {
-        if let Err(v) = self.verify_scope(slots, links) {
+    fn enforce_certificate(&self, full_scope: bool) {
+        let checked = if full_scope {
+            self.verify_scope(self.flows.iter().flatten(), &self.all_links)
+        } else {
+            self.verify_scope(self.class_members(&self.comp.classes), &self.comp.links)
+        };
+        if let Err(v) = checked {
             panic!("max-min certificate violated after solve: {v}");
         }
     }
@@ -1299,9 +1395,9 @@ impl NetSim {
     }
 
     /// Total element capacity held by the reusable scratch structures: the
-    /// flow slab, free list, per-link flow indexes, flow-class table,
-    /// stamped component walkers and solver buffers (both the settle
-    /// path's and the probe's).
+    /// flow slab, free list, flow-class table with its member lists and
+    /// per-link class indexes, stamped component walkers and solver
+    /// buffers (both the settle path's and the probe's).
     ///
     /// This is the high-water mark left behind by the busiest moment the
     /// engine has seen; pair with [`NetSim::shrink_scratch`] to measure and
@@ -1310,11 +1406,6 @@ impl NetSim {
         let probe = self.probe.borrow();
         self.flows.capacity()
             + self.free_slots.capacity()
-            + self
-                .link_flows
-                .iter()
-                .map(std::vec::Vec::capacity)
-                .sum::<usize>()
             + self.classes.footprint()
             + self.comp.footprint()
             + self.solver.scratch_capacity()
@@ -1338,11 +1429,11 @@ impl NetSim {
     /// stamp arrays to the surviving slot count and releases the worklist
     /// and solver buffers, and trims the event queue's per-slot key index.
     /// Live flows are untouched: slot indices of retained flows never
-    /// change, so the per-link indexes and any in-flight completions stay
-    /// valid, and every buffer regrows on demand.
+    /// change, so the class member lists and any in-flight completions
+    /// stay valid, and every buffer regrows on demand.
     pub fn shrink_scratch(&mut self) {
         // Pop trailing empty slots; interior empties must stay (their
-        // indices are burned into `free_slots` and `link_flows` ordering).
+        // indices are burned into `free_slots` and the member lists).
         while matches!(self.flows.last(), Some(None)) {
             self.flows.pop();
         }
@@ -1350,17 +1441,14 @@ impl NetSim {
         self.free_slots.retain(|&s| (s as usize) < slots);
         self.flows.shrink_to_fit();
         self.free_slots.shrink_to_fit();
-        for per_link in &mut self.link_flows {
-            per_link.shrink_to_fit();
-        }
-        self.classes.shrink();
+        self.classes.shrink(slots);
         self.queue.shrink_key_index();
-        let links = self.link_caps.len();
-        self.comp.shrink(slots, links);
+        let (classes, links) = (self.classes.id_bound(), self.link_caps.len());
+        self.comp.shrink(classes, links);
         self.solver.shrink();
         self.trans = TransitionScratch::default();
         let mut probe = self.probe.borrow_mut();
-        probe.comp.shrink(slots, links);
+        probe.comp.shrink(classes, links);
         probe.solver.shrink();
     }
 
@@ -1498,6 +1586,13 @@ impl NetSim {
     ///
     /// Panics if the endpoints are not connected.
     pub fn start_flow(&mut self, spec: FlowSpec) -> FlowId {
+        self.launch(spec, true)
+    }
+
+    /// Starts a flow; `keyed` gives it an `id_slots` entry, which every
+    /// flow a caller can name needs and engine-started background
+    /// arrivals do without.
+    fn launch(&mut self, spec: FlowSpec, keyed: bool) -> FlowId {
         let route = self
             .routing
             .path(spec.src, spec.dst)
@@ -1512,39 +1607,42 @@ impl NetSim {
         let id = FlowId(self.next_flow);
         self.next_flow += 1;
         let cap_bps = spec.cap.map_or(f64::INFINITY, Bandwidth::as_bps);
-        let state = FlowState {
+        let slot = match self.free_slots.pop() {
+            Some(s) => {
+                debug_assert!(self.flows[s as usize].is_none(), "free slot occupied");
+                s
+            }
+            None => {
+                self.flows.push(None);
+                // The completion queue's key index and the member links
+                // grow with the slab.
+                self.queue.reserve_keys(self.flows.capacity());
+                self.classes.reserve_slots(self.flows.capacity());
+                u32::try_from(self.flows.len() - 1).expect("too many concurrent flows")
+            }
+        };
+        let mut state = FlowState {
             id,
             src: spec.src,
             dst: spec.dst,
+            class: 0,
             route: Arc::clone(&route),
             total_bytes: spec.bytes,
             remaining: spec.bytes as f64,
             cap_bps,
-            class: self.classes.join(spec.src, spec.dst, cap_bps),
             rate_bps: f64::NAN,
             started: self.now,
             last_update: self.now,
             tag: spec.tag,
             token: spec.token,
+            keyed,
         };
-        let slot = match self.free_slots.pop() {
-            Some(s) => {
-                debug_assert!(self.flows[s as usize].is_none(), "free slot occupied");
-                self.flows[s as usize] = Some(state);
-                s
-            }
-            None => {
-                self.flows.push(Some(state));
-                // The completion queue's key index grows with the slab.
-                self.queue.reserve_keys(self.flows.capacity());
-                u32::try_from(self.flows.len() - 1).expect("too many concurrent flows")
-            }
-        };
-        for &l in route.iter() {
-            self.link_flows[l.index()].push(slot);
-        }
+        state.class = self.classes.join(&state, slot);
+        self.flows[slot as usize] = Some(state);
         self.track_load(&route, cap_bps, 1);
-        self.id_slots.insert(id, slot);
+        if keyed {
+            self.id_slots.insert(id, slot);
+        }
         self.net_version += 1;
         self.active_flows += 1;
         if self.active_flows > self.slot_high_water {
@@ -1565,7 +1663,7 @@ impl NetSim {
         Some(FlowProgress {
             bytes_done: f.total_bytes as f64 - f.remaining,
             bytes_remaining: f.remaining,
-            rate: Bandwidth::from_bps(f.rate_bps),
+            rate: reported_rate(f.rate_bps),
         })
     }
 
@@ -1575,29 +1673,32 @@ impl NetSim {
         let Some(&slot) = self.id_slots.get(&id) else {
             return false;
         };
-        let slot = slot as usize;
-        let f = self.flows[slot].as_mut().expect("indexed flow is live");
+        let f = self.flows[slot as usize]
+            .as_mut()
+            .expect("indexed flow is live");
         let old_cap = f.cap_bps;
-        f.cap_bps = cap.as_bps();
-        // Join before leaving, so an unchanged cap keeps its class id.
-        f.class = self.classes.join(f.src, f.dst, f.cap_bps);
-        self.classes.leave(f.src, f.dst, old_cap);
+        if cap.as_bps().to_bits() != old_cap.to_bits() {
+            self.classes.leave(f, slot);
+            f.cap_bps = cap.as_bps();
+            f.class = self.classes.join(f, slot);
+        }
         let route = Arc::clone(&f.route);
         self.track_load(&route, old_cap, -1);
         self.track_load(&route, cap.as_bps(), 1);
         self.net_version += 1;
-        self.reallocate_for_flow(slot);
+        self.reallocate_for_flow(slot as usize);
         true
     }
 
-    /// The rate currently allocated to a flow, if it is active.
+    /// The rate currently allocated to a flow, if it is active; it reads
+    /// as [`FlowProgress::rate`] does.
     pub fn flow_rate(&self, id: FlowId) -> Option<Bandwidth> {
         self.debug_assert_solved();
         let &slot = self.id_slots.get(&id)?;
         let f = self.flows[slot as usize]
             .as_ref()
             .expect("indexed flow is live");
-        Some(Bandwidth::from_bps(f.rate_bps))
+        Some(reported_rate(f.rate_bps))
     }
 
     /// Schedules a timer to fire at absolute time `at` with a caller token.
@@ -1638,40 +1739,34 @@ impl NetSim {
         };
         if path.links().is_empty() {
             // Node-local: bounded only by the cap.
-            return cap.unwrap_or(Bandwidth::from_bps(1e15));
+            return cap.unwrap_or(Bandwidth::from_bps(NODE_LOCAL_BPS));
         }
         let mut probe = self.probe.borrow_mut();
         let ProbeScratch { comp, solver } = &mut *probe;
-        comp.begin(self.flows.len(), self.link_caps.len());
+        comp.begin(self.classes.id_bound(), self.link_caps.len());
         for &l in path.links() {
             comp.add_link(l);
         }
-        comp.expand(&self.flows, &self.link_flows);
-        comp.group_classes(&self.flows, self.classes.id_bound());
+        comp.expand(&self.classes, &self.flows);
         // The phantom flow is its own weight-1 entry, after the classes.
-        let k = comp.entry_slot.len();
-        let flows = &self.flows;
+        let k = comp.classes.len();
+        let (classes, flows) = (&self.classes, &self.flows);
         let comp = &*comp;
+        let first = |e: usize| classes.first(comp.classes[e], flows);
         let phantom_cap = cap.map_or(f64::INFINITY, Bandwidth::as_bps);
         let rates = solver.solve_with(
             k + 1,
             |e| {
                 if e < k {
-                    comp.entry_flow(flows, e).route.as_ref()
+                    first(e).route.as_ref()
                 } else {
                     path.links()
                 }
             },
+            |e| if e < k { first(e).cap_bps } else { phantom_cap },
             |e| {
                 if e < k {
-                    comp.entry_flow(flows, e).cap_bps
-                } else {
-                    phantom_cap
-                }
-            },
-            |e| {
-                if e < k {
-                    comp.entry_weight[e] as usize
+                    classes.members[comp.classes[e] as usize] as usize
                 } else {
                     1
                 }
@@ -1683,7 +1778,7 @@ impl NetSim {
     }
 
     /// Instantaneous utilisation (0–1) of a directed link. O(flows crossing
-    /// the link) via the per-link index.
+    /// the link) via the per-link class index.
     ///
     /// # Panics
     ///
@@ -1694,14 +1789,9 @@ impl NetSim {
         if cap <= 0.0 {
             return 0.0;
         }
-        let used: f64 = self.link_flows[link.index()]
-            .iter()
-            .map(|&s| {
-                self.flows[s as usize]
-                    .as_ref()
-                    .expect("indexed flow is live")
-                    .rate_bps
-            })
+        let used: f64 = self
+            .class_members(&self.classes.link_classes[link.index()])
+            .map(|f| f.rate_bps)
             .sum();
         // Solver arithmetic can leave a -0.0 residue on idle links.
         (used / cap).max(0.0)
@@ -1802,7 +1892,8 @@ impl NetSim {
         self.batch_active = true;
         self.batch_deferred = 0;
         if matches!(self.mode, SolverMode::Incremental) {
-            self.comp.begin(self.flows.len(), self.link_caps.len());
+            self.comp
+                .begin(self.classes.id_bound(), self.link_caps.len());
         }
     }
 
@@ -1819,10 +1910,11 @@ impl NetSim {
         match self.mode {
             SolverMode::Full => self.resolve_everything(),
             SolverMode::Incremental => {
-                // Slots seeded by an arrival and freed again within the
-                // same cohort (drops, instant completions) are dead now.
-                let flows = &self.flows;
-                self.comp.flows.retain(|&s| flows[s as usize].is_some());
+                // Classes seeded by an arrival or re-cap and released again
+                // within the same cohort (drops, instant completions) are
+                // dead now.
+                let members = &self.classes.members;
+                self.comp.classes.retain(|&c| members[c as usize] > 0);
                 self.solve_seeded();
             }
         }
@@ -1838,25 +1930,22 @@ impl NetSim {
 
     /// Defers the re-solve for a flow that appeared or changed caps while
     /// a cohort is open. Seeds the route links directly (not just the
-    /// slot): if the slot was already seeded by a previous occupant this
-    /// cohort, the stamp dedup would otherwise skip the new occupant's
+    /// class): if the class id was already seeded by a released class
+    /// this cohort, the stamp dedup would otherwise skip the new class's
     /// (possibly different) route.
     fn defer_flow_seed(&mut self, slot: usize) {
         self.batch_deferred += 1;
         if matches!(self.mode, SolverMode::Full) {
             return;
         }
-        self.comp.ensure_flows(self.flows.len());
-        let route = Arc::clone(
-            &self.flows[slot]
-                .as_ref()
-                .expect("deferred seed of dead slot")
-                .route,
-        );
-        for &l in route.iter() {
+        self.comp.ensure_classes(self.classes.id_bound());
+        let f = self.flows[slot]
+            .as_ref()
+            .expect("deferred seed of dead slot");
+        for &l in f.route.iter() {
             self.comp.add_link(l);
         }
-        self.comp.add_flow(slot_u32(slot), &self.flows);
+        self.comp.add_class(f.class, &self.classes, &self.flows);
     }
 
     /// Defers the re-solve for a flow that disappeared while a cohort is
@@ -1898,12 +1987,10 @@ impl NetSim {
             Internal::Completion { slot } => {
                 let slot = slot as usize;
                 self.settle_flow(slot);
-                if self.flows[slot]
-                    .as_ref()
-                    .expect("queued flow is live")
-                    .remaining
-                    > 0.5
-                {
+                let f = self.flows[slot].as_ref().expect("queued flow is live");
+                // An infinite rate (an uncapped node-local flow) delivers
+                // everything at once, though no time passes to settle it.
+                if f.remaining > 0.5 && f.rate_bps.is_finite() {
                     // Rounding left a sliver; reschedule precisely.
                     self.schedule_completion(slot);
                     return;
@@ -1951,7 +2038,7 @@ impl NetSim {
                 };
                 self.queue
                     .push(next, Internal::BackgroundArrival { profile });
-                let _ = self.start_flow(spec);
+                self.launch(spec, false);
             }
             Internal::FaultTransition { index, start } => {
                 self.stats.fault_transitions += 1;
@@ -1984,7 +2071,8 @@ impl NetSim {
                     match self.mode {
                         SolverMode::Full => self.resolve_everything(),
                         SolverMode::Incremental => {
-                            self.comp.begin(self.flows.len(), self.link_caps.len());
+                            self.comp
+                                .begin(self.classes.id_bound(), self.link_caps.len());
                             for &l in &drop_seeds {
                                 self.comp.add_link(l);
                             }
@@ -1993,7 +2081,7 @@ impl NetSim {
                                     self.comp.add_link(LinkId::from_index(i));
                                 }
                             }
-                            self.comp.expand(&self.flows, &self.link_flows);
+                            self.comp.expand(&self.classes, &self.flows);
                             self.solve_component();
                         }
                     }
@@ -2047,20 +2135,14 @@ impl NetSim {
         f.last_update = now;
     }
 
-    /// Unlinks a flow from the slab, the id map and every per-link index.
+    /// Unlinks a flow from the slab, the id map and its class.
     fn remove_flow(&mut self, slot: usize) -> FlowState {
         let f = self.flows[slot].take().expect("remove of dead slot");
         self.queue.remove_key(slot);
-        self.id_slots.remove(&f.id);
-        self.classes.leave(f.src, f.dst, f.cap_bps);
-        for &l in f.route.iter() {
-            let lf = &mut self.link_flows[l.index()];
-            let pos = lf
-                .iter()
-                .position(|&s| s as usize == slot)
-                .expect("flow indexed on its route links");
-            lf.swap_remove(pos);
+        if f.keyed {
+            self.id_slots.remove(&f.id);
         }
+        self.classes.leave(&f, slot_u32(slot));
         self.track_load(&f.route, f.cap_bps, -1);
         self.free_slots.push(slot_u32(slot));
         self.net_version += 1;
@@ -2088,8 +2170,10 @@ impl NetSim {
         match self.mode {
             SolverMode::Full => self.resolve_everything(),
             SolverMode::Incremental => {
-                self.comp.begin(self.flows.len(), self.link_caps.len());
-                self.comp.add_flow(slot_u32(slot), &self.flows);
+                self.comp
+                    .begin(self.classes.id_bound(), self.link_caps.len());
+                let class = self.flows[slot].as_ref().expect("seed of dead slot").class;
+                self.comp.add_class(class, &self.classes, &self.flows);
                 self.solve_seeded();
             }
         }
@@ -2104,7 +2188,8 @@ impl NetSim {
         match self.mode {
             SolverMode::Full => self.resolve_everything(),
             SolverMode::Incremental => {
-                self.comp.begin(self.flows.len(), self.link_caps.len());
+                self.comp
+                    .begin(self.classes.id_bound(), self.link_caps.len());
                 for &l in route {
                     self.comp.add_link(l);
                 }
@@ -2115,68 +2200,91 @@ impl NetSim {
 
     /// Runs progressive filling over the component currently held in
     /// `self.comp`, then settles and reschedules exactly the flows whose
-    /// rate actually changed.
+    /// rate actually changed, class by class in discovery order.
     fn solve_component(&mut self) {
         self.all_at_caps = self.tight_links == 0;
-        let n = self.comp.flows.len();
-        if n == 0 {
+        let k = self.comp.classes.len();
+        if k == 0 {
             return;
         }
         if self.validate {
             self.snapshot_transition();
         }
-        let bound = self.classes.id_bound();
-        self.comp
-            .fill(&mut self.solver, &self.flows, bound, &self.link_caps);
+        self.comp.fill(
+            &mut self.solver,
+            &self.classes,
+            &self.flows,
+            &self.link_caps,
+        );
         self.stats.incremental_solves += 1;
-        self.stats.solver_flows_touched += n as u64;
-        self.stats.solver_classes_touched += self.comp.entry_slot.len() as u64;
-        for i in 0..n {
-            let slot = self.comp.flows[i] as usize;
-            let f = self.flows[slot].as_ref().expect("component flow is live");
-            let new_rate = self.solver.take_member_rate(self.comp.entry_of(f));
+        self.stats.solver_flows_touched += self.comp.member_count(&self.classes) as u64;
+        self.stats.solver_classes_touched += k as u64;
+        for e in 0..k {
+            self.rerate_class(e, true);
+        }
+        if self.validate {
+            #[cfg(test)]
+            self.audit_walk();
+            self.enforce_transition(false);
+            self.enforce_certificate(false);
+        }
+    }
+
+    /// The rate tail of component class `e`: re-rates each member, first
+    /// to last, whose rate differs from the fill's (`from_fill`) or from
+    /// its cap.
+    fn rerate_class(&mut self, e: usize, from_fill: bool) {
+        let first = self.classes.head[self.comp.classes[e] as usize];
+        let mut slot = first;
+        loop {
+            let next = self.classes.next[slot as usize];
+            let f = self.flows[slot as usize]
+                .as_ref()
+                .expect("class member is live");
+            let new_rate = if from_fill {
+                self.solver.take_member_rate(e)
+            } else {
+                f.cap_bps
+            };
             // NAN (never solved) differs from everything, so a new flow
             // always takes the tail.
             if f.rate_bps != new_rate {
-                self.assign_rate(slot, new_rate);
+                self.assign_rate(slot as usize, new_rate);
             }
-        }
-        if self.validate {
-            self.enforce_transition(false);
-            self.enforce_certificate(&self.comp.flows, &self.comp.links);
+            if next == first {
+                return;
+            }
+            slot = next;
         }
     }
 
     /// Resolves the component seeded in `self.comp`: with every flow at
-    /// its cap and no link tight, re-rates just the seeded flows;
-    /// otherwise expands the seeds and runs the fill.
+    /// its cap and no link tight, re-rates just the seeded classes'
+    /// members; otherwise expands the seeds and runs the fill.
     fn solve_seeded(&mut self) {
         if self.all_at_caps && self.tight_links == 0 {
             self.resolve_uncongested();
         } else {
-            self.comp.expand(&self.flows, &self.link_flows);
+            self.comp.expand(&self.classes, &self.flows);
             self.solve_component();
         }
     }
 
     /// The fill's answer while no link is tight and none was at the last
-    /// fill: every flow at its cap (DESIGN.md §4d). Only the seeded flows
-    /// can be off it; they take the fill's per-flow tail in its order.
+    /// fill: every flow at its cap (DESIGN.md §4d). Only members of the
+    /// seeded classes can be off it; they take the fill's tail in its
+    /// order.
     fn resolve_uncongested(&mut self) {
-        let (comp, lf) = (&self.comp, &self.link_flows);
-        if comp.flows.is_empty() && comp.links.iter().all(|&l| lf[l as usize].is_empty()) {
+        let (comp, on_link) = (&self.comp, &self.classes.link_classes);
+        if comp.classes.is_empty() && comp.links.iter().all(|&l| on_link[l as usize].is_empty()) {
             return;
         }
         if self.validate {
             self.snapshot_transition();
         }
         self.stats.uncongested_solves += 1;
-        for i in 0..self.comp.flows.len() {
-            let slot = self.comp.flows[i] as usize;
-            let f = self.flows[slot].as_ref().expect("seeded flow is live");
-            if f.rate_bps != f.cap_bps {
-                self.assign_rate(slot, f.cap_bps);
-            }
+        for e in 0..self.comp.classes.len() {
+            self.rerate_class(e, false);
         }
         if self.validate {
             self.check_uncongested();
@@ -2190,38 +2298,45 @@ impl NetSim {
     fn check_uncongested(&mut self) {
         std::mem::swap(&mut self.comp, &mut self.trans.comp);
         let NetSim {
-            comp, trans, flows, ..
+            comp,
+            trans,
+            flows,
+            classes,
+            ..
         } = self;
         // `trans.comp` now holds the engine's walk and its seeds.
-        comp.begin(flows.len(), self.link_caps.len());
-        for &slot in &trans.comp.flows {
-            comp.add_flow(slot, flows);
+        comp.begin(classes.id_bound(), self.link_caps.len());
+        for &c in &trans.comp.classes {
+            comp.add_class(c, classes, flows);
         }
         for &l in &trans.comp.links {
             comp.add_link(LinkId(l));
         }
-        comp.expand(flows, &self.link_flows);
-        let bound = self.classes.id_bound();
-        comp.fill(&mut trans.solver, flows, bound, &self.link_caps);
-        for &slot in &comp.flows {
-            let f = flows[slot as usize].as_ref().expect("walked flow is live");
-            let fill = trans.solver.take_member_rate(comp.entry_of(f));
-            assert!(
-                fill.to_bits() == f.rate_bps.to_bits(),
-                "uncongested resolution left flow {} at {} bps; the fill gives {fill}",
-                f.id,
-                f.rate_bps
-            );
+        comp.expand(classes, flows);
+        comp.fill(&mut trans.solver, classes, flows, &self.link_caps);
+        for (e, &c) in comp.classes.iter().enumerate() {
+            for slot in classes.members(c) {
+                let f = flows[slot as usize].as_ref().expect("walked flow is live");
+                let fill = trans.solver.take_member_rate(e);
+                assert!(
+                    fill.to_bits() == f.rate_bps.to_bits(),
+                    "uncongested resolution left flow {} at {} bps; the fill gives {fill}",
+                    f.id,
+                    f.rate_bps
+                );
+            }
         }
+        #[cfg(test)]
+        self.audit_walk();
         self.enforce_transition(false);
-        self.enforce_certificate(&self.comp.flows, &self.comp.links);
+        self.enforce_certificate(false);
         std::mem::swap(&mut self.comp, &mut self.trans.comp);
     }
 
     /// The per-flow tail of every component resolution, for a flow whose
     /// rate changed: settles it, sets the new rate and refiles its
-    /// completion. Callers go in component order: the event queue breaks
-    /// completion ties FIFO.
+    /// completion. Callers go class by class in discovery order, members
+    /// first to last: the event queue breaks completion ties FIFO.
     fn assign_rate(&mut self, slot: usize, new_rate: f64) {
         let old_rate = self.flows[slot]
             .as_ref()
@@ -2252,7 +2367,7 @@ impl NetSim {
             } else {
                 load.unbounded += delta;
             }
-            if self.link_flows[l.index()].is_empty() {
+            if self.classes.link_classes[l.index()].is_empty() {
                 // Rounding never outlives the link's last flow.
                 load.cap_sum = 0.0;
             }
@@ -2264,7 +2379,7 @@ impl NetSim {
     fn retally(&mut self, l: usize) {
         let load = &mut self.link_loads[l];
         let cap = self.link_caps[l];
-        let tight = !self.link_flows[l].is_empty()
+        let tight = !self.classes.link_classes[l].is_empty()
             && (load.unbounded > 0 || cap < 1.0 || load.cap_sum > cap * (1.0 - UNCONGESTED_MARGIN));
         self.tight_links = self.tight_links + usize::from(tight) - usize::from(load.tight);
         load.tight = tight;
@@ -2283,17 +2398,17 @@ impl NetSim {
         self.stats.full_solves += 1;
         self.stats.solver_flows_touched += self.active_flows as u64;
         self.stats.solver_classes_touched += self.active_flows as u64;
-        self.comp.begin(self.flows.len(), self.link_caps.len());
+        self.comp.slots.clear();
         for slot in 0..self.flows.len() {
             if self.flows[slot].is_some() {
                 self.settle_flow(slot);
-                self.comp.flows.push(slot_u32(slot));
+                self.comp.slots.push(slot_u32(slot));
             }
         }
-        let n = self.comp.flows.len();
+        let n = self.comp.slots.len();
         {
             let flows = &self.flows;
-            let comp_flows = &self.comp.flows;
+            let comp_flows = &self.comp.slots;
             self.solver.solve_with(
                 n,
                 |i| {
@@ -2315,7 +2430,7 @@ impl NetSim {
             );
         }
         for i in 0..n {
-            let slot = self.comp.flows[i] as usize;
+            let slot = self.comp.slots[i] as usize;
             let rate = self.solver.rate(i);
             let f = self.flows[slot].as_mut().expect("live flow");
             let due = f.rate_bps > 0.0 && f.remaining <= 0.5;
@@ -2329,7 +2444,7 @@ impl NetSim {
         }
         if self.validate {
             self.enforce_transition(true);
-            self.enforce_certificate(&self.comp.flows, &self.all_links);
+            self.enforce_certificate(true);
         }
     }
 
@@ -3929,6 +4044,251 @@ mod uncongested_tests {
                 s.transitions_certified,
                 s.incremental_solves + s.uncongested_solves
             );
+        }
+    }
+}
+
+#[cfg(test)]
+mod walk_tests {
+    use std::collections::BTreeSet;
+
+    use super::*;
+    use crate::topology::LinkSpec;
+    use proptest::prelude::*;
+
+    impl NetSim {
+        /// Checks the walk in `self.comp` against a per-flow reference:
+        /// the breadth-first closure of the same seeds (the members of
+        /// the seeded classes and the seeded links) over every live flow
+        /// must reach the same flows and links, and a per-flow fill over
+        /// them must give every member its current rate bit for bit.
+        pub(super) fn audit_walk(&self) {
+            let (seed_classes, seed_links) = &self.comp.seeds;
+            let route = |s: u32| self.flows[s as usize].as_ref().expect("live").route.clone();
+            let mut flows: BTreeSet<u32> = seed_classes
+                .iter()
+                .flat_map(|&c| self.classes.members(c))
+                .collect();
+            let mut links: BTreeSet<u32> = seed_links.iter().copied().collect();
+            links.extend(
+                flows
+                    .iter()
+                    .flat_map(|&s| route(s).iter().map(|l| l.0).collect::<Vec<_>>()),
+            );
+            loop {
+                let reached: Vec<u32> = (0..slot_u32(self.flows.len()))
+                    .filter(|&s| {
+                        self.flows[s as usize].as_ref().is_some_and(|f| {
+                            !flows.contains(&s) && f.route.iter().any(|l| links.contains(&l.0))
+                        })
+                    })
+                    .collect();
+                if reached.is_empty() {
+                    break;
+                }
+                for s in reached {
+                    flows.insert(s);
+                    links.extend(route(s).iter().map(|l| l.0));
+                }
+            }
+            let walked: BTreeSet<u32> = self
+                .comp
+                .classes
+                .iter()
+                .flat_map(|&c| self.classes.members(c))
+                .collect();
+            assert_eq!(walked, flows, "the class walk reached other flows");
+            let walked: BTreeSet<u32> = self.comp.links.iter().copied().collect();
+            assert_eq!(walked, links, "the class walk reached other links");
+            let order: Vec<u32> = flows.into_iter().collect();
+            let links: Vec<u32> = links.into_iter().collect();
+            let mut solver = MaxMinSolver::new();
+            let fill = solver.solve_with(
+                order.len(),
+                |i| {
+                    self.flows[order[i] as usize]
+                        .as_ref()
+                        .expect("live")
+                        .route
+                        .as_ref()
+                },
+                |i| {
+                    self.flows[order[i] as usize]
+                        .as_ref()
+                        .expect("live")
+                        .cap_bps
+                },
+                |_| 1,
+                &links,
+                &self.link_caps,
+            );
+            for (i, &s) in order.iter().enumerate() {
+                let f = self.flows[s as usize].as_ref().expect("live");
+                assert_eq!(
+                    f.rate_bps.to_bits(),
+                    fill[i].to_bits(),
+                    "flow {} runs at {} bps; the per-flow fill gives {}",
+                    f.id,
+                    f.rate_bps,
+                    fill[i]
+                );
+            }
+        }
+    }
+
+    fn mbps(m: f64) -> Bandwidth {
+        Bandwidth::from_mbps(m)
+    }
+
+    /// Hubs `h1`, `h2` joined by a middle link, three ends on `h1` and
+    /// two on `h2`; edges at 100 Mbps.
+    fn dumbbell(middle: f64) -> (NetSim, Vec<NodeId>, LinkId) {
+        let mut t = Topology::new();
+        let h1 = t.add_node("h1");
+        let h2 = t.add_node("h2");
+        let ms = SimDuration::from_millis(2);
+        let (mid, _) = t.add_duplex_link(h1, h2, LinkSpec::new(mbps(middle), ms));
+        let mut ends = Vec::new();
+        for (i, hub) in [h1, h1, h1, h2, h2].into_iter().enumerate() {
+            let n = t.add_node(format!("n{i}"));
+            t.add_duplex_link(n, hub, LinkSpec::new(mbps(100.0), ms));
+            ends.push(n);
+        }
+        let mut sim = NetSim::new(t, 11);
+        sim.set_validation(true);
+        (sim, ends, mid)
+    }
+
+    #[test]
+    fn uncapped_node_local_flow_reads_and_aborts() {
+        let (mut sim, ends, _) = dumbbell(50.0);
+        let local = sim.start_flow(FlowSpec::new(ends[0], ends[0], 1 << 30));
+        let rate = sim.flow_rate(local).expect("live");
+        assert_eq!(rate.as_bps(), NODE_LOCAL_BPS);
+        let progress = sim.abort_flow(local).expect("live");
+        assert_eq!(progress.rate, rate);
+        assert_eq!(sim.active_flow_count(), 0);
+    }
+
+    #[test]
+    fn caller_started_background_flows_keep_their_ids() {
+        let (mut sim, ends, _) = dumbbell(50.0);
+        let spec = FlowSpec::new(ends[0], ends[3], 1 << 30).with_tag(FlowTag::Background);
+        let bg = sim.start_flow(spec);
+        assert_eq!(sim.flow_rate(bg).expect("keyed").as_bps(), 50e6);
+        assert!(sim.set_flow_cap(bg, mbps(20.0)));
+        let progress = sim.abort_flow(bg).expect("keyed");
+        assert_eq!(progress.rate.as_bps(), 20e6);
+        assert!(sim.id_slots.is_empty());
+    }
+
+    #[test]
+    fn engine_background_arrivals_take_no_id_entry() {
+        let (mut sim, ends, _) = dumbbell(50.0);
+        sim.add_background(BackgroundProfile {
+            src: ends[1],
+            dst: ends[4],
+            arrival_rate_hz: 20.0,
+            mean_size_bytes: 4e6,
+            size_sigma: 0.5,
+            flow_cap: Some(mbps(10.0)),
+        });
+        let user = sim.start_flow(FlowSpec::new(ends[0], ends[3], 50_000_000));
+        sim.run_until(SimTime::from_secs_f64(2.0));
+        assert!(sim.stats().background_flows_started > 10);
+        assert!(sim.active_flow_count() > 1);
+        assert_eq!(sim.id_slots.len(), 1);
+        assert!(sim.id_slots.contains_key(&user));
+    }
+
+    #[test]
+    fn class_id_and_slot_reused_inside_a_cohort_take_the_new_route() {
+        let (mut sim, ends, _) = dumbbell(50.0);
+        let shared = sim.start_flow(FlowSpec::new(ends[1], ends[3], 1 << 30));
+        let gone = sim.start_flow(FlowSpec::new(ends[0], ends[3], 1 << 30));
+        let (class, slot) = (sim.classes.id_bound() - 1, sim.id_slots[&gone]);
+        let fresh = sim.batched(|sim| {
+            sim.abort_flow(gone);
+            // Another route, another key: the released id and slot return.
+            sim.start_flow(FlowSpec::new(ends[4], ends[1], 1 << 30).with_cap(mbps(10.0)))
+        });
+        assert_eq!(sim.id_slots[&fresh], slot);
+        assert_eq!(
+            sim.flows[slot as usize].as_ref().expect("live").class as usize,
+            class
+        );
+        assert_eq!(sim.flow_rate(fresh).expect("live").as_bps(), 10e6);
+        assert_eq!(sim.flow_rate(shared).expect("live").as_bps(), 50e6);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random starts, aborts, completions, re-caps, cohorts, a
+        /// brownout and a connection drop, with validation on: after
+        /// every fill and every uncongested resolution the class walk
+        /// matches the per-flow reference (see `audit_walk`). Caps come
+        /// from a short list, so classes hold many members; a cohort
+        /// releases a class and a slot and re-uses both at once.
+        #[test]
+        fn class_walk_matches_the_per_flow_walk(
+            middle in 20.0f64..150.0,
+            brownout in 0u64..2_000,
+            drop_at in 0u64..2_000,
+            drop_end in 0usize..5,
+            ops in proptest::collection::vec(
+                (0u8..7, 0usize..25, 0usize..25, 0usize..5, 0u64..300),
+                1..80,
+            ),
+        ) {
+            let (mut sim, ends, mid) = dumbbell(middle);
+            let at = |ms: u64| SimTime::ZERO + SimDuration::from_millis(ms);
+            sim.install_fault_plan(
+                FaultPlan::new()
+                    .link_brownout(at(brownout), SimDuration::from_millis(700), mid, 0.3)
+                    .connection_drop(at(drop_at), ends[drop_end]),
+            );
+            const CAPS: [f64; 5] = [4.0, 9.0, 25.0, 60.0, f64::INFINITY];
+            let spec = |i: usize, j: usize, cap: usize| {
+                let f = FlowSpec::new(ends[i % 5], ends[j % 5], 1_000_000 + 10_000 * (i as u64));
+                if CAPS[cap].is_finite() { f.with_cap(mbps(CAPS[cap])) } else { f }
+            };
+            let mut live: Vec<FlowId> = Vec::new();
+            for (op, i, j, cap, ms) in ops {
+                match op {
+                    0 | 1 => live.push(sim.start_flow(spec(i, j, cap))),
+                    2 if !live.is_empty() => {
+                        sim.abort_flow(live.swap_remove(i % live.len()));
+                    }
+                    3 if !live.is_empty() => {
+                        let cap = CAPS[cap].min(80.0);
+                        sim.set_flow_cap(live[i % live.len()], mbps(cap));
+                    }
+                    4 if !live.is_empty() => sim.batched(|sim| {
+                        // The aborted flow's slot, and its class id when
+                        // it was the class's last member, go to a flow of
+                        // a fresh class.
+                        sim.abort_flow(live.swap_remove(i % live.len()));
+                        let fresh = FlowSpec::new(ends[j % 5], ends[i % 5], 3_000_000)
+                            .with_cap(mbps(1.0 + (ms % 7) as f64));
+                        live.push(sim.start_flow(fresh));
+                        live.push(sim.start_flow(spec(j, i, cap)));
+                        let k = j % live.len();
+                        sim.set_flow_cap(live[k], mbps(CAPS[(cap + 1) % 4]));
+                    }),
+                    _ => {
+                        sim.run_until(sim.now() + SimDuration::from_millis(ms));
+                        live.retain(|&id| sim.flow_rate(id).is_some());
+                    }
+                }
+            }
+            while sim.next_event().is_some() {}
+            let s = sim.stats();
+            prop_assert_eq!(
+                s.transitions_certified,
+                s.incremental_solves + s.uncongested_solves
+            );
+            prop_assert_eq!(sim.classes.live(), 0);
         }
     }
 }

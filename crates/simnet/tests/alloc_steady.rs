@@ -145,8 +145,10 @@ fn warmed_drain_stays_allocation_free_with_batching_off() {
 #[test]
 fn warmed_churn_through_live_flow_classes_allocates_nothing() {
     // Flows that join and leave (route, cap) classes other flows keep
-    // alive touch only the classes' member counts: once warm, a whole
-    // churn cycle — starts included — allocates nothing.
+    // alive touch only the classes' member lists, and classes minted and
+    // released within the cycle reuse their ids, their table entries and
+    // their per-link index slots: once warm, a whole churn cycle — starts
+    // included — allocates nothing.
     let (topo, a, b, c) = star();
     let mut sim = NetSim::new(topo, 7);
     sim.set_validation(false);
@@ -160,7 +162,15 @@ fn warmed_churn_through_live_flow_classes_allocates_nothing() {
     let cycle = |sim: &mut NetSim| {
         for i in 0..FLOWS {
             let (src, dst) = if i % 2 == 0 { (a, b) } else { (a, c) };
-            sim.start_flow(FlowSpec::new(src, dst, 4_000_000 + (i as u64) * 37_000));
+            let spec = FlowSpec::new(src, dst, 4_000_000 + (i as u64) * 37_000);
+            // Every fourth flow is capped, in a class of its own for a
+            // few flows: three classes live and die within the cycle.
+            let spec = if i % 4 == 3 {
+                spec.with_cap(Bandwidth::from_mbps([5.0, 7.0, 11.0][i / 4 % 3]))
+            } else {
+                spec
+            };
+            sim.start_flow(spec);
         }
         while sim.active_flow_count() > ANCHORS {
             sim.next_event().expect("churn flows complete");
