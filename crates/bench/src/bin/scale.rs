@@ -24,6 +24,11 @@
 //! peak-population [`NetSim::verify_allocation`] check per figure (wall
 //! times are then not comparable to unverified runs).
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the scale benchmark measures wall-clock throughput: that is its output"
+)]
+
 use std::fmt::Write as _;
 use std::time::Instant;
 

@@ -26,6 +26,19 @@
 //! either way.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::float_cmp,
+        clippy::wildcard_enum_match_arm,
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod budget;

@@ -1,6 +1,6 @@
 //! # datagrid-catalog
 //!
-//! A Globus-style **replica catalog** and replica management layer.
+//! A Globus-style **replica catalog**.
 //!
 //! The paper's replica selection scenario (its Fig. 1) starts with the
 //! application passing a *logical file name* to the replica catalog server,
@@ -11,15 +11,28 @@
 //! * [`entry`] — logical file metadata,
 //! * [`collection`] — logical collections grouping related files (the
 //!   structure of the LDAP-based Globus catalog),
-//! * [`catalog`] — the catalog itself: register, replicate, look up,
-//! * [`manager`] — a replica manager that keeps the catalog consistent
-//!   while copies are created and deleted through a pluggable transport
-//!   (GridFTP in the full stack).
+//! * [`catalog`] — the catalog itself: register, replicate, look up.
 //!
 //! The crate is deliberately free of simulation dependencies so it can be
 //! reused and tested standalone.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::dbg_macro,
+        clippy::float_cmp,
+        clippy::wildcard_enum_match_arm,
+    )
+)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -28,9 +41,7 @@ pub mod catalog;
 pub mod collection;
 pub mod entry;
 pub mod error;
-pub mod manager;
 pub mod name;
-pub mod rls;
 
 pub use catalog::ReplicaCatalog;
 pub use error::CatalogError;
@@ -43,7 +54,5 @@ pub mod prelude {
     pub use crate::collection::LogicalCollection;
     pub use crate::entry::LogicalFileEntry;
     pub use crate::error::CatalogError;
-    pub use crate::manager::{ReplicaManager, ReplicaTransport, TransportError, TransportReceipt};
     pub use crate::name::{LogicalFileName, PhysicalFileName};
-    pub use crate::rls::{LocalReplicaCatalog, LrcId, ReplicaLocationIndex};
 }

@@ -67,7 +67,10 @@ impl Error for GridError {
         match self {
             GridError::Catalog(e) => Some(e),
             GridError::Transfer(e) => Some(e),
-            _ => None,
+            GridError::UnknownHost { .. }
+            | GridError::NoReplicas { .. }
+            | GridError::ReplicaOffGrid { .. }
+            | GridError::AllReplicasFailed { .. } => None,
         }
     }
 }

@@ -8,6 +8,14 @@
 //! * `CPU_P` — the replica host's CPU idle percentage (from MDS),
 //! * `IO_P` — the replica host's I/O idle percentage (from sysstat).
 
+#![cfg_attr(
+    not(test),
+    expect(
+        clippy::expect_used,
+        reason = "candidate scores are finite by construction of the cost model"
+    )
+)]
+
 use datagrid_sysmon::host::HostId;
 
 use datagrid_catalog::PhysicalFileName;

@@ -16,6 +16,25 @@
 //! sampling, MDS refresh, NWS bandwidth probes) runs on a fixed interval
 //! whenever the grid advances, including *during* transfers.
 
+#![cfg_attr(
+    not(test),
+    expect(
+        clippy::expect_used,
+        reason = "event-queue non-emptiness is maintained by sentinel timers and active sessions"
+    )
+)]
+#![cfg_attr(
+    not(test),
+    expect(
+        clippy::panic,
+        reason = "orphan event/timer panics and unroutable-pair builder panics are documented contracts"
+    )
+)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "keyed lookups only: the host-name, host-at-node and control-channel maps are never iterated"
+)]
+
 pub mod modelcheck;
 pub mod replay;
 

@@ -83,7 +83,10 @@ impl FetchModel {
             FetchInput::ChoseLocal => self.local_hit,
             FetchInput::ChoseRemote => remote_left,
             FetchInput::NoCandidate => !self.local_hit && !remote_left,
-            _ => true,
+            FetchInput::Arrived
+            | FetchInput::Delivered
+            | FetchInput::Stalled
+            | FetchInput::BackoffElapsed => true,
         }
     }
 }

@@ -39,6 +39,25 @@
 //! every routing decision is by value, never by map-iteration order — two
 //! runs from the same seed produce byte-identical event logs.
 
+#![cfg_attr(
+    not(test),
+    expect(
+        clippy::expect_used,
+        reason = "driver invariants: a phase implies the data it waits on (Transferring/Backoff imply a recorded choice, a delivery records its transfer, a run ends with every job terminal), and the driver feeds `step` only inputs its phase accepts; grid::modelcheck::explore enumerates that same `step`"
+    )
+)]
+#![cfg_attr(
+    not(test),
+    expect(
+        clippy::unreachable,
+        reason = "unreachable!() on routes the state machine cannot produce: control timers only target waiting jobs, terminal jobs take no input, no `step` transition re-enters Arrival (explore enumerates every transition of the shipped `step`)"
+    )
+)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "keyed lookups only: `owners` maps a session id to its job and is never iterated"
+)]
+
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, DefaultHasher};

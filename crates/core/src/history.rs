@@ -5,6 +5,14 @@
 //! and sorts sites by cost on demand. [`CostHistory`] is that program's
 //! data model; the `fig5` bench binary renders it as text.
 
+#![cfg_attr(
+    not(test),
+    expect(
+        clippy::expect_used,
+        reason = "cost-history entries are finite by construction"
+    )
+)]
+
 use std::collections::BTreeMap;
 
 use datagrid_simnet::time::{SimDuration, SimTime};

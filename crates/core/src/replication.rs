@@ -8,6 +8,11 @@
 //! [`DataGrid::replicate`](crate::grid::DataGrid::replicate), keeping the
 //! decision loop explicit and testable.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "keyed counters only: the per-(file, site) fetch and advice maps are never iterated"
+)]
+
 use std::collections::HashMap;
 
 use crate::grid::FetchReport;

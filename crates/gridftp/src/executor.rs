@@ -9,6 +9,21 @@
 //! [`run_transfer`] / [`run_striped_transfer`] when the transfer is the
 //! only foreground activity.
 
+#![cfg_attr(
+    not(test),
+    expect(
+        clippy::expect_used,
+        reason = "sessions have at least one source, phase records are appended in protocol order, and run_striped_transfer polls only while its session holds pending work"
+    )
+)]
+#![cfg_attr(
+    not(test),
+    expect(
+        clippy::panic,
+        reason = "unexpected event in a protocol state is a simulation bug, failing fast is deliberate"
+    )
+)]
+
 use datagrid_simnet::engine::{EventKind, FlowId, FlowSpec, NetSim, SimEvent};
 use datagrid_simnet::tcp::TcpParams;
 use datagrid_simnet::time::{SimDuration, SimTime};

@@ -72,12 +72,6 @@ impl RetryPolicy {
         self
     }
 
-    /// Sets the per-pause upper bound.
-    pub fn with_max_backoff(mut self, max: SimDuration) -> Self {
-        self.max_backoff = max;
-        self
-    }
-
     /// Sets the jitter fraction.
     ///
     /// # Panics
@@ -124,9 +118,10 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially_then_caps() {
-        let policy = no_jitter()
-            .with_base_backoff(SimDuration::from_secs(1))
-            .with_max_backoff(SimDuration::from_secs(10));
+        let policy = RetryPolicy {
+            max_backoff: SimDuration::from_secs(10),
+            ..no_jitter().with_base_backoff(SimDuration::from_secs(1))
+        };
         let mut rng = SimRng::seed_from_u64(1);
         let secs: Vec<f64> = (0..6)
             .map(|k| policy.backoff(k, &mut rng).as_secs_f64())

@@ -1,6 +1,14 @@
 //! The replica-selection audit log: every cost-model decision, with the
 //! full per-candidate factor breakdown the paper's Table 1 argues from.
 
+#![cfg_attr(
+    not(test),
+    expect(
+        clippy::expect_used,
+        reason = "sort keys are pre-filtered to measured candidates"
+    )
+)]
+
 use crate::event::{json_f64, json_string};
 use datagrid_simnet::time::SimTime;
 use std::collections::VecDeque;
@@ -103,6 +111,10 @@ impl SelectionDecision {
     /// better-scored candidate was also the faster one. `None` until at
     /// least one comparable pair exists. `1.0` is the paper's Table 1
     /// claim — the cost model's order explains the measured order.
+    #[expect(
+        clippy::float_cmp,
+        reason = "only an exact tie in measured time orders a pair neither way; any difference orders it"
+    )]
     pub fn rank_agreement(&self) -> Option<f64> {
         let measured: Vec<&CandidateAudit> = self
             .candidates

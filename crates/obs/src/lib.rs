@@ -30,6 +30,22 @@
 //! dumps — that property is load-bearing and covered by tests.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::dbg_macro,
+        clippy::float_cmp,
+        clippy::wildcard_enum_match_arm,
+    )
+)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -77,11 +77,6 @@ impl BackgroundProfile {
         self
     }
 
-    /// Mean offered load in bits per second (`rate × mean size × 8`).
-    pub fn offered_load(&self) -> Bandwidth {
-        Bandwidth::from_bps(self.arrival_rate_hz * self.mean_size_bytes * 8.0)
-    }
-
     /// Builds a profile that offers `utilization` (0–1) of `capacity` using
     /// flows of `mean_size_bytes`, deriving the arrival rate.
     ///
@@ -126,15 +121,6 @@ impl BackgroundTraffic {
         self
     }
 
-    /// Adds a symmetric pair of profiles (one per direction).
-    pub fn push_symmetric(&mut self, profile: BackgroundProfile) -> &mut Self {
-        let mut reverse = profile.clone();
-        std::mem::swap(&mut reverse.src, &mut reverse.dst);
-        self.profiles.push(profile);
-        self.profiles.push(reverse);
-        self
-    }
-
     /// The profiles collected so far.
     pub fn profiles(&self) -> &[BackgroundProfile] {
         &self.profiles
@@ -166,28 +152,11 @@ mod tests {
     }
 
     #[test]
-    fn offered_load_matches_parameters() {
-        let (a, b) = two_nodes();
-        let p = BackgroundProfile::new(a, b, 2.0, 1_000_000.0);
-        assert_eq!(p.offered_load().as_mbps(), 16.0);
-    }
-
-    #[test]
     fn for_utilization_derives_rate() {
         let (a, b) = two_nodes();
         let p = BackgroundProfile::for_utilization(a, b, Bandwidth::from_mbps(30.0), 0.4, 3e6);
-        assert!((p.offered_load().as_mbps() - 12.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn symmetric_push_swaps_endpoints() {
-        let (a, b) = two_nodes();
-        let mut bg = BackgroundTraffic::new();
-        bg.push_symmetric(BackgroundProfile::new(a, b, 1.0, 1e6));
-        assert_eq!(bg.profiles().len(), 2);
-        assert_eq!(bg.profiles()[0].src, a);
-        assert_eq!(bg.profiles()[1].src, b);
-        assert_eq!(bg.profiles()[1].dst, a);
+        // 12 Mb/s offered in 24 Mb flows.
+        assert!((p.arrival_rate_hz - 0.5).abs() < 1e-12);
     }
 
     #[test]

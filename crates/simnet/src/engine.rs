@@ -29,6 +29,25 @@
 //! * **Zero steady-state allocation.** All solver and component-walk
 //!   buffers are owned scratch, reused across events.
 
+#![cfg_attr(
+    not(test),
+    expect(
+        clippy::expect_used,
+        reason = "slab/index invariants: every expect names a liveness guarantee the engine itself maintains"
+    )
+)]
+#![cfg_attr(
+    not(test),
+    expect(
+        clippy::panic,
+        reason = "documented # Panics contracts (rtt, start_flow on unroutable pairs) and the deliberate certificate-enforcement panic"
+    )
+)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "keyed lookups only: `ids` and `id_slots` are never iterated, so their order reaches no output"
+)]
+
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, DefaultHasher};
@@ -284,7 +303,9 @@ impl KeyOf<Internal> for CompletionKey {
     fn key_of(payload: &Internal) -> Option<usize> {
         match *payload {
             Internal::Completion { slot } => Some(slot as usize),
-            _ => None,
+            Internal::Timer { .. }
+            | Internal::BackgroundArrival { .. }
+            | Internal::FaultTransition { .. } => None,
         }
     }
 }
@@ -1973,6 +1994,10 @@ impl NetSim {
         }
     }
 
+    #[expect(
+        clippy::float_cmp,
+        reason = "a fault transition seeds every link whose capacity moved by any amount, so the snapshot compare is bit for bit"
+    )]
     fn handle(&mut self, internal: Internal) {
         self.stats.events_processed += 1;
         match internal {
@@ -2233,6 +2258,10 @@ impl NetSim {
     /// The rate tail of component class `e`: re-rates each member, first
     /// to last, whose rate differs from the fill's (`from_fill`) or from
     /// its cap.
+    #[expect(
+        clippy::float_cmp,
+        reason = "a member is re-rated only when its rate differs bit for bit; NAN (never solved) differs from everything"
+    )]
     fn rerate_class(&mut self, e: usize, from_fill: bool) {
         let first = self.classes.head[self.comp.classes[e] as usize];
         let mut slot = first;

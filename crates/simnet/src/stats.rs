@@ -1,6 +1,14 @@
 //! Small online statistics accumulators used throughout the simulator and
 //! the experiment harness.
 
+#![cfg_attr(
+    not(test),
+    expect(
+        clippy::expect_used,
+        reason = "summaries reject NaN at ingestion, so comparisons are total"
+    )
+)]
+
 use crate::time::{SimDuration, SimTime};
 
 /// Welford online accumulator for count/mean/variance/min/max.

@@ -6,6 +6,14 @@
 //! span between two points. Integer representation makes event ordering
 //! exact and platform independent.
 
+#![cfg_attr(
+    not(test),
+    expect(
+        clippy::expect_used,
+        reason = "checked arithmetic on the simulated clock: overflow is a corrupted simulation, not a recoverable error"
+    )
+)]
+
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 

@@ -6,6 +6,14 @@
 //! real switched Ethernet). Routing is static shortest path by latency,
 //! computed once per source node on demand and cached.
 
+#![cfg_attr(
+    not(test),
+    expect(
+        clippy::expect_used,
+        reason = "u32 id-space bounds and finite-capacity invariants established at construction"
+    )
+)]
+
 use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::Arc;
@@ -326,50 +334,6 @@ impl Topology {
     /// Panics if the node does not exist.
     pub fn incident_links(&self, node: NodeId) -> &[LinkId] {
         &self.nodes[node.index()].incident
-    }
-
-    /// Renders the topology in Graphviz DOT format (for documentation and
-    /// debugging: `dot -Tsvg`).
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("digraph topology {\n  rankdir=LR;\n");
-        for (i, n) in self.nodes.iter().enumerate() {
-            let _ = writeln!(out, "  n{i} [label=\"{}\"];", n.name);
-        }
-        // Render duplex pairs as one undirected-looking edge; lone directed
-        // links keep their arrow.
-        let mut seen = vec![false; self.links.len()];
-        for (i, l) in self.links.iter().enumerate() {
-            if seen[i] {
-                continue;
-            }
-            let reverse = self.links.iter().enumerate().position(|(j, r)| {
-                !seen[j] && j != i && r.from == l.to && r.to == l.from && r.spec == l.spec
-            });
-            let label = format!("{} / {}", l.spec.capacity, l.spec.latency);
-            match reverse {
-                Some(j) => {
-                    seen[j] = true;
-                    let _ = writeln!(
-                        out,
-                        "  n{} -> n{} [dir=both, label=\"{label}\"];",
-                        l.from.index(),
-                        l.to.index()
-                    );
-                }
-                None => {
-                    let _ = writeln!(
-                        out,
-                        "  n{} -> n{} [label=\"{label}\"];",
-                        l.from.index(),
-                        l.to.index()
-                    );
-                }
-            }
-            seen[i] = true;
-        }
-        out.push_str("}\n");
-        out
     }
 
     /// The largest link capacity anywhere in the topology — the grid-wide
@@ -725,36 +689,5 @@ mod loss_tests {
     #[should_panic(expected = "loss rate")]
     fn out_of_range_loss_rejected() {
         let _ = LinkSpec::new(Bandwidth::from_mbps(1.0), SimDuration::ZERO).with_loss(1.0);
-    }
-}
-
-#[cfg(test)]
-mod dot_tests {
-    use super::*;
-
-    #[test]
-    fn dot_renders_nodes_and_duplex_edges() {
-        let mut t = Topology::new();
-        let a = t.add_node("alpha1");
-        let b = t.add_node("switch");
-        let c = t.add_node("probe");
-        t.add_duplex_link(
-            a,
-            b,
-            LinkSpec::new(Bandwidth::from_gbps(1.0), SimDuration::from_millis(1)),
-        );
-        t.add_link(
-            b,
-            c,
-            LinkSpec::new(Bandwidth::from_mbps(10.0), SimDuration::from_millis(2)),
-        );
-        let dot = t.to_dot();
-        assert!(dot.starts_with("digraph topology {"));
-        assert!(dot.contains("label=\"alpha1\""));
-        // Duplex pair folded into one dir=both edge.
-        assert_eq!(dot.matches("dir=both").count(), 1);
-        // The lone directed link keeps a plain arrow.
-        assert!(dot.contains("n1 -> n2 [label="));
-        assert!(dot.trim_end().ends_with('}'));
     }
 }

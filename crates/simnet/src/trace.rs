@@ -6,6 +6,14 @@
 //! [`NetworkTrace::sample`] (the Data Grid does so on monitoring ticks),
 //! and answers windowed queries over the recorded history.
 
+#![cfg_attr(
+    not(test),
+    expect(
+        clippy::expect_used,
+        reason = "utilisation samples are finite by construction"
+    )
+)]
+
 use std::collections::{BTreeMap, VecDeque};
 
 use crate::engine::NetSim;

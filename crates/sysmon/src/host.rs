@@ -185,11 +185,6 @@ impl SimHost {
         self.io.idle()
     }
 
-    /// Current CPU utilisation.
-    pub fn cpu_utilization(&self) -> f64 {
-        self.cpu.utilization()
-    }
-
     /// Current disk busy fraction.
     pub fn io_utilization(&self) -> f64 {
         self.io.utilization()
@@ -241,20 +236,6 @@ impl SimHost {
     pub fn history(&self) -> &[HostSample] {
         &self.history
     }
-
-    /// Restricts the number of retained samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap` is zero.
-    pub fn set_history_cap(&mut self, cap: usize) {
-        assert!(cap > 0, "history capacity must be positive");
-        self.history_cap = cap;
-        if self.history.len() > cap {
-            let excess = self.history.len() - cap;
-            self.history.drain(..excess);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -289,7 +270,6 @@ mod tests {
         h.advance_to(SimTime::from_secs_f64(10.0));
         assert!((h.cpu_idle() - 0.7).abs() < 1e-12);
         assert!((h.io_idle() - 0.4).abs() < 1e-12);
-        assert!((h.cpu_utilization() - 0.3).abs() < 1e-12);
         assert!((h.io_utilization() - 0.6).abs() < 1e-12);
     }
 
@@ -315,7 +295,7 @@ mod tests {
     #[test]
     fn history_is_bounded() {
         let mut h = host(LoadModel::Constant(0.1), LoadModel::Constant(0.1));
-        h.set_history_cap(5);
+        h.history_cap = 5;
         h.advance_to(SimTime::from_secs_f64(200.0));
         assert_eq!(h.history().len(), 5);
         assert_eq!(h.history()[4].time, SimTime::from_secs_f64(200.0));

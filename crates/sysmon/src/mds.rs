@@ -5,6 +5,18 @@
 //! their static description once, push fresh utilisation numbers on every
 //! monitoring tick, and consumers query by host name.
 
+#![cfg_attr(
+    not(test),
+    expect(
+        clippy::panic,
+        reason = "MDS lookup of an unregistered host is a documented # Panics contract"
+    )
+)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "`by_name` serves keyed lookups; `records` sorts by name before returning"
+)]
+
 use std::collections::HashMap;
 
 use datagrid_simnet::time::SimTime;

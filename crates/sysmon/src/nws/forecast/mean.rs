@@ -1,5 +1,13 @@
 //! Mean-based forecasters.
 
+#![cfg_attr(
+    not(test),
+    expect(
+        clippy::expect_used,
+        reason = "sliding windows are non-empty whenever consulted; measurements reject NaN"
+    )
+)]
+
 use std::collections::VecDeque;
 
 use super::window::SortedWindow;

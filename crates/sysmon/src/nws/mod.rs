@@ -13,6 +13,11 @@
 //! * [`NwsRegistry`] — the nameserver/memory analogue: a directory of
 //!   sensors keyed by network path.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "keyed lookups only: the per-pair index into the ordered series is never iterated"
+)]
+
 pub mod forecast;
 pub mod sensor;
 pub mod series;

@@ -1,6 +1,21 @@
 //! Experiment harness: text tables, selection-quality evaluation and
 //! observability dumps.
 
+#![cfg_attr(
+    not(test),
+    expect(
+        clippy::panic,
+        reason = "harness-level: a scenario referencing unknown hosts/files is unrunnable, abort loudly"
+    )
+)]
+#![cfg_attr(
+    not(test),
+    expect(
+        clippy::expect_used,
+        reason = "oracle sweep guarantees at least one scored candidate"
+    )
+)]
+
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 

@@ -29,6 +29,14 @@
 //!   again. Skipped when the scenario schedules faults (failure timing
 //!   is policy-dependent by design).
 
+#![cfg_attr(
+    not(test),
+    expect(
+        clippy::expect_used,
+        reason = "generated worlds install and replay cleanly by construction (hosts, files and placements come from the same seed)"
+    )
+)]
+
 use std::fmt;
 use std::fmt::Write as _;
 

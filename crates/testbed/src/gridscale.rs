@@ -25,6 +25,14 @@
 //! per-phase wall-clock milliseconds are added; those fields, and only
 //! those, vary run to run.
 
+#![cfg_attr(
+    not(test),
+    expect(
+        clippy::expect_used,
+        reason = "generated workloads install and replay cleanly by construction; build_cell attaches the timeline the cell later reads; --verify cells fail fast on a refused certificate"
+    )
+)]
+
 use std::fmt::Write as _;
 
 use datagrid_core::prelude::{DataGrid, FetchOptions, RecoveryOptions, SelectionMode};

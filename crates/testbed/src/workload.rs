@@ -1,5 +1,13 @@
 //! Request workloads over replicated files.
 
+#![cfg_attr(
+    not(test),
+    expect(
+        clippy::panic,
+        reason = "harness-level: generated workloads must reference grid hosts"
+    )
+)]
+
 use datagrid_catalog::name::{LogicalFileName, PhysicalFileName};
 use datagrid_core::prelude::{DataGrid, GridError, ReplayJob};
 use datagrid_simnet::rng::SimRng;
