@@ -152,6 +152,18 @@ mod tests {
     }
 
     #[test]
+    fn offered_load_matches_parameters() {
+        let (a, b) = two_nodes();
+        let p = BackgroundProfile::new(a, b, 2.0, 1_000_000.0);
+        assert_eq!(p.size_sigma, 1.0);
+        assert_eq!(p.flow_cap, None);
+        // 2 flows/s of 8 Mb each offer 16 Mb/s: the profile built for that
+        // load at full utilization is the same profile.
+        let q = BackgroundProfile::for_utilization(a, b, Bandwidth::from_mbps(16.0), 1.0, 1e6);
+        assert_eq!(q, p);
+    }
+
+    #[test]
     fn for_utilization_derives_rate() {
         let (a, b) = two_nodes();
         let p = BackgroundProfile::for_utilization(a, b, Bandwidth::from_mbps(30.0), 0.4, 3e6);
